@@ -7,8 +7,10 @@ an invertible "multiply by t" matrix.  Surface classes include via
 v |-> (V - V^T) v; that convention is what makes metabolizer images
 isotropic for the Blanchfield form (validated by the test suite).
 
-Blanchfield values live in Q(t)/Q[t,t^-1] and are stored as a reduced
-numerator of degree < deg(denominator).
+Blanchfield values live in Q(t)/Q[t,t^-1].  They are computed over the
+single denominator d = det(tV - V^T), from the adjugate-style matrix R
+with (tV - V^T)^{-1} = R/d, and stored as a reduced numerator of degree
+< deg(denominator).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from . import polys
 from .laurent import LaurentPoly, normalize
 from .laurent import factor as laurent_factor
+from .seifert import presentation_matrix
 
 F = Fraction
 
@@ -29,84 +32,6 @@ class NotCyclic(ValueError):
 
 class UnsupportedModule(ValueError):
     """Module shape outside the cyclic / coprime-sum catalogue."""
-
-
-# ---------------------------------------------------------------------------
-# Rational functions in t (internal, dense representation)
-# ---------------------------------------------------------------------------
-
-class RatFunc:
-    """num/den with dense rational polynomials, den monic, gcd cleared."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        den = [F(1)] if den is None else list(den)
-        num = list(num)
-        if polys.is_zero(den):
-            raise ZeroDivisionError("rational function with zero denominator")
-        if polys.is_zero(num):
-            self.num, self.den = [], [F(1)]
-            return
-        g = polys.gcd_monic(num, den)
-        if polys.deg(g) > 0:
-            num = polys.exact_div(num, g)
-            den = polys.exact_div(den, g)
-        lc = den[-1]
-        self.num = [c / lc for c in num]
-        self.den = [c / lc for c in den]
-
-    @property
-    def is_zero(self):
-        return not self.num
-
-    def __add__(self, other):
-        return RatFunc(
-            polys.add(polys.mul(self.num, other.den),
-                      polys.mul(other.num, self.den)),
-            polys.mul(self.den, other.den))
-
-    def __sub__(self, other):
-        return RatFunc(
-            polys.sub(polys.mul(self.num, other.den),
-                      polys.mul(other.num, self.den)),
-            polys.mul(self.den, other.den))
-
-    def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return RatFunc(polys.mul(self.num, other.num),
-                           polys.mul(self.den, other.den))
-        return RatFunc(polys.mul(self.num, list(other)), self.den)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(polys.mul(self.num, other.den),
-                       polys.mul(self.den, other.num))
-
-    def __neg__(self):
-        return RatFunc(polys.neg(self.num), self.den)
-
-
-def _ratfunc_matvec_solve(mat, rhs):
-    """Solve mat @ x = rhs over the rational function field (square mat)."""
-    n = len(mat)
-    a = [[RatFunc(e) if not isinstance(e, RatFunc) else e for e in row]
-         for row in mat]
-    x = [RatFunc(e) if not isinstance(e, RatFunc) else e for e in rhs]
-    aug = [a[i] + [x[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
-        if piv is None:
-            raise ArithmeticError("singular presentation matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = RatFunc([F(1)]) / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero:
-                f_ = aug[r][col]
-                aug[r] = [aug[r][k] - f_ * aug[col][k] for k in range(n + 1)]
-    return [aug[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +81,11 @@ def smith_form_poly(mat):
     def row_primitive(i):
         # rescale so the row's coefficients are coprime integers; keeps
         # the fraction sizes from exploding during elimination
-        from math import gcd as ig
-        num = 0
-        den = 1
-        for p in a[i]:
-            for c in p:
-                num = ig(num, c.numerator)
-                den = den * c.denominator // ig(den, c.denominator)
-        if num:
-            content = F(num, den)
-            if content != 1:
-                row_scale(i, 1 / content)
+        coeffs = [c for p in a[i] for c in p]
+        if coeffs:
+            ratio = polys.primitive_positive(coeffs)[-1] / coeffs[-1]
+            if ratio != 1:
+                row_scale(i, ratio)
 
     t = 0
     while t < min(rows, cols):
@@ -393,16 +312,12 @@ class AlexanderModule:
     # -- Blanchfield ------------------------------------------------------
 
     def _presentation_inverse(self):
+        """(d, R) with d = det(tV - V^T) and (tV - V^T)^{-1} = R/d."""
         if self._inv_cache is None:
             n = self.V.size
-            e = self.V.entries
-            mat = [[polys.trim([F(-e[b][a]), F(e[a][b])]) for b in range(n)]
-                   for a in range(n)]
-            cols = []
-            for j in range(n):
-                rhs = [[F(1)] if i == j else [] for i in range(n)]
-                cols.append(_ratfunc_matvec_solve(mat, rhs))
-            self._inv_cache = [[cols[j][i] for j in range(n)] for i in range(n)]
+            ident = [[[F(1)] if i == j else [] for j in range(n)]
+                     for i in range(n)]
+            self._inv_cache = polys.bareiss(presentation_matrix(self.V), ident)
         return self._inv_cache
 
     def blanchfield(self, x, y):
@@ -418,20 +333,11 @@ class AlexanderModule:
 def _direct_t_matrix(v):
     """V^T V^{-1} over the rationals; None when V is singular."""
     n = v.size
-    aug = [[F(v.entries[i][j]) for j in range(n)] +
-           [F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f_ = aug[r][col]
-                aug[r] = [aug[r][k] - f_ * aug[col][k] for k in range(2 * n)]
-    vinv = [row[n:] for row in aug]
+    rows = _rref([list(v.entries[i]) + [int(i == j) for j in range(n)]
+                  for i in range(n)], n)
+    if any(_pivot(row, n) is None for row in rows):
+        return None
+    vinv = [row[n:] for row in rows]
     return tuple(tuple(sum(F(v.entries[k][i]) * vinv[k][j] for k in range(n))
                        for j in range(n)) for i in range(n))
 
@@ -449,10 +355,7 @@ def present(v) -> AlexanderModule:
         if t_matrix is None:
             raise ArithmeticError("deg Delta = 2g forces V invertible")
         return AlexanderModule(v, delta, "direct", t_matrix=t_matrix)
-    e = v.entries
-    mat = [[polys.trim([F(-e[b][a]), F(e[a][b])]) for b in range(n)]
-           for a in range(n)]
-    diag, u, uinv = smith_form_poly(mat)
+    diag, u, uinv = smith_form_poly(presentation_matrix(v))
     mod = AlexanderModule(v, delta, "snf", diag=diag, u=u, uinv=uinv)
     span = delta.span
     if mod.dim != span:
@@ -566,39 +469,34 @@ def _blanchfield_raw(mod, x, y):
         return BL_ZERO
     px = mod.rep_of(x)
     py = mod.rep_of(y)
-    inv = mod._presentation_inverse()
-    n = mod.V.size
-    w = [RatFunc([])] * n
-    for i in range(n):
-        acc = RatFunc([])
-        for j in range(n):
-            if polys.is_zero(py[j]) or inv[i][j].is_zero:
-                continue
-            acc = acc + inv[i][j] * py[j]
-        w[i] = acc
+    d, r = mod._presentation_inverse()
+    w = _poly_matvec(r, py)
     dmax = max((polys.deg(p) for p in px if not polys.is_zero(p)), default=0)
-    total = RatFunc([])
-    for j in range(n):
-        if polys.is_zero(px[j]) or w[j].is_zero:
+    total = []
+    for pj, wj in zip(px, w):
+        if polys.is_zero(pj) or polys.is_zero(wj):
             continue
         # t^dmax * px_j(1/t) as a plain polynomial
-        rev = polys.trim([F(0)] * (dmax - polys.deg(px[j]))
-                         + list(reversed(px[j])))
-        total = total + w[j] * rev
-    if total.is_zero:
-        return BL_ZERO
-    num = polys.mul(total.num, [F(-1), F(1)])  # times (t - 1)
-    return _reduce_mod_ring(num, total.den, -dmax)
+        rev = polys.trim([F(0)] * (dmax - polys.deg(pj)) + list(reversed(pj)))
+        total = polys.add(total, polys.mul(wj, rev))
+    num = polys.mul(total, [F(-1), F(1)])  # times (t - 1)
+    return _reduce_mod_ring(num, d, -dmax)
 
 
 # ---------------------------------------------------------------------------
 # Submodules
 # ---------------------------------------------------------------------------
 
-def _rref(vectors, width):
+def _rref(vectors, pivot_cols):
+    """Gauss-Jordan over Q, pivoting in the first pivot_cols columns only.
+
+    Returns the pivot rows in pivot order, then any rows that are zero on
+    the pivot columns but not beyond them (an augmented system's
+    inconsistencies); zero rows are dropped.
+    """
     rows = [list(map(F, v)) for v in vectors if any(v)]
     r = 0
-    for c in range(width):
+    for c in range(pivot_cols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -608,20 +506,28 @@ def _rref(vectors, width):
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f_ = rows[i][c]
-                rows[i] = [rows[i][k] - f_ * rows[r][k] for k in range(width)]
+                rows[i] = [x - f_ * y for x, y in zip(rows[i], rows[r])]
         r += 1
-    return tuple(tuple(row) for row in rows[:r] if any(row))
+    return tuple(tuple(row) for row in rows if any(row))
+
+
+def _pivot(row, pivot_cols):
+    """Column of the row's leading entry among the pivot columns, or None."""
+    return next((i for i in range(pivot_cols) if row[i] != 0), None)
+
+
+def _reduce(rref_basis, vec):
+    """Residual of vec after clearing each basis row's pivot entry."""
+    v = list(map(F, vec))
+    for row in rref_basis:
+        c = v[_pivot(row, len(v))]
+        if c != 0:
+            v = [x - c * y for x, y in zip(v, row)]
+    return v
 
 
 def _in_span(rref_basis, vec):
-    v = list(map(F, vec))
-    width = len(v)
-    for row in rref_basis:
-        piv = next(i for i in range(width) if row[i] != 0)
-        if v[piv] != 0:
-            c = v[piv]
-            v = [v[k] - c * row[k] for k in range(width)]
-    return all(x == 0 for x in v)
+    return not any(_reduce(rref_basis, vec))
 
 
 @dataclass(frozen=True)
@@ -642,6 +548,13 @@ class Submodule:
 
     def contains(self, vec):
         return _in_span(self.basis, vec)
+
+    def quotient_coords(self, vec):
+        """Coordinates of vec in the quotient by this submodule: the residual
+        after reduction by the basis, on the non-pivot coordinates."""
+        v = _reduce(self.basis, vec)
+        pivots = {_pivot(row, len(v)) for row in self.basis}
+        return tuple(x for i, x in enumerate(v) if i not in pivots)
 
     def sort_key(self):
         from .laurent import render
@@ -668,29 +581,12 @@ def _vector_annihilator(mod, w):
 
 def _solve_exact(aug, unknowns):
     """Solve an overdetermined consistent system from augmented rows."""
-    rows = [list(r) for r in aug]
-    n = unknowns
-    sol = [F(0)] * n
-    r = 0
-    piv_cols = []
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f_ = rows[i][c]
-                rows[i] = [rows[i][k] - f_ * rows[r][k] for k in range(n + 1)]
-        piv_cols.append(c)
-        r += 1
-    for row in rows[r:]:
-        if row[n] != 0:
+    sol = [F(0)] * unknowns
+    for row in _rref(aug, unknowns):
+        c = _pivot(row, unknowns)
+        if c is None:
             raise ArithmeticError("inconsistent linear system")
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][n]
+        sol[c] = row[unknowns]
     return sol
 
 
@@ -790,17 +686,15 @@ def orthogonal_complement(mod, p: Submodule) -> Submodule:
 
 
 def _kernel(rows, n):
-    rr = _rref(rows, n) if rows else ()
-    piv = set()
-    for row in rr:
-        piv.add(next(i for i in range(n) if row[i] != 0))
-    free = [i for i in range(n) if i not in piv]
+    rr = _rref(rows, n)
+    pivots = [_pivot(row, n) for row in rr]
     out = []
-    for fcol in free:
+    for fcol in range(n):
+        if fcol in pivots:
+            continue
         v = [F(0)] * n
         v[fcol] = F(1)
-        for row in rr:
-            pc = next(i for i in range(n) if row[i] != 0)
+        for pc, row in zip(pivots, rr):
             v[pc] = -row[fcol]
         out.append(tuple(v))
     return out

@@ -434,14 +434,6 @@ def first_order_sig_set(desc: InfectionDesc):
             for p in alexander.isotropic_submodules(desc.module)]
 
 
-def lagrangian_sig_set(desc: InfectionDesc):
-    """The Lagrangian-indexed view (the slice-obstruction test set)."""
-    if desc.module.dim == 0:
-        return [(alexander.zero_submodule(desc.module), SigExpr.zero())]
-    return [(p, first_order_sig(desc, p))
-            for p in alexander.lagrangians(desc.module)]
-
-
 # ---------------------------------------------------------------------------
 # Links: the closed catalogue
 # ---------------------------------------------------------------------------

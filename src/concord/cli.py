@@ -52,6 +52,17 @@ def _matrix(spec):
     return v
 
 
+def _radius(text):
+    try:
+        radius = F(text)
+        if radius > 0:
+            return radius
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise specs.SchemaError(
+        f"--precision must be a positive rational, got {text!r}")
+
+
 def _emit(args, payload_dict, text):
     if args.format == "json":
         print(json.dumps(payload_dict, indent=2, sort_keys=True))
@@ -82,9 +93,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
+        if args.format == "csv" and args.command != "sigfn":
+            raise specs.SchemaError("--format csv applies to sigfn only")
+        radius = _radius(args.precision)
         spec = _load_spec(args.spec)
         assumptions = _load_assumptions(args.assume)
-        radius = F(args.precision)
         return _dispatch(args, spec, assumptions, radius)
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)

@@ -156,19 +156,6 @@ def hermite_normal_form(mat):
     return tuple(tuple(row) for row in m[:r] if any(row))
 
 
-def matmul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def transpose(a):
-    return [list(r) for r in zip(*a)]
-
-
-def matvec(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
 def symplectic_basis(j):
     """Columns of an integer change of basis P with P^T J P in interleaved
     block form diag([[0, e_i], [-e_i, 0]]), e_i = 1, for a unimodular

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _igcd
 
 from . import polys
 
@@ -152,15 +151,6 @@ class LaurentPoly:
             raise ZeroDivisionError("Laurent polynomials need t != 0")
         return sum((v * x ** k for k, v in self._c.items()), F(0))
 
-    @property
-    def is_monomial(self):
-        return len(self._c) == 1
-
-    @property
-    def is_unit(self):
-        """Unit of Q[t, t^-1], i.e. c * t^k."""
-        return len(self._c) == 1
-
 
 @dataclass(frozen=True)
 class PrimeFactorization:
@@ -182,17 +172,8 @@ def normalize(p: LaurentPoly) -> LaurentPoly:
     positive leading coefficient."""
     if p.is_zero:
         raise ZeroPolynomial("cannot normalize 0")
-    dense, _ = p.to_dense()
-    den = 1
-    for c in dense:
-        den = den * c.denominator // _igcd(den, c.denominator)
-    ints = [int(c * den) for c in dense]
-    g = 0
-    for v in ints:
-        g = _igcd(g, abs(v))
-    if ints[-1] < 0:
-        g = -g
-    return LaurentPoly.from_dense([F(v, g) for v in ints])
+    prim = polys.primitive_positive(p.to_dense()[0])
+    return LaurentPoly.from_dense(prim if prim[-1] > 0 else polys.neg(prim))
 
 
 def unit_between(p: LaurentPoly, canon: LaurentPoly):
@@ -220,10 +201,6 @@ def conjugate(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero:
         raise ZeroPolynomial("cannot conjugate 0")
     return normalize(p.substitute_inverse())
-
-
-def is_self_conjugate(p: LaurentPoly) -> bool:
-    return conjugate(p) == normalize(p)
 
 
 def factor(p: LaurentPoly, max_degree: int = 32) -> PrimeFactorization:

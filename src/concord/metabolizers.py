@@ -21,7 +21,7 @@ from . import intlinalg, polys, specs
 from .alexander import AlexanderModule, Submodule, present, submodule_from_vectors
 from .laurent import LaurentPoly
 from .laurent import gcd as laurent_gcd
-from .seifert import SeifertMatrix, alexander_poly
+from .seifert import OMEGA_MINUS_ONE, SeifertMatrix, alexander_poly, lt_signature
 
 F = Fraction
 
@@ -125,18 +125,6 @@ def _diagonal_blocks(v: SeifertMatrix):
         for i in range(g)]
 
 
-def _definite_symmetrization(v: SeifertMatrix) -> bool:
-    from .seifert import _qi_charpoly, _signature_from_charpoly
-
-    n = v.size
-    mat = [[(F(v.entries[a][b] + v.entries[b][a]), F(0)) for b in range(n)]
-           for a in range(n)]
-    cp = _qi_charpoly(mat)
-    if polys.evaluate(cp, F(0)) == 0:
-        return False
-    return abs(_signature_from_charpoly(cp)) == n
-
-
 def higher_genus_metabolizers(v: SeifertMatrix, search_bound: int = 3):
     """Metabolizer search above genus one.
 
@@ -170,7 +158,8 @@ def higher_genus_metabolizers(v: SeifertMatrix, search_bound: int = 3):
                     basis.append(tuple(vec))
                 out.append(Metabolizer(v, tuple(basis)))
             return MetabolizerSearch(tuple(out), complete=True)
-    if _definite_symmetrization(v):
+    # V + V^T definite: |signature| = 2g also rules out a zero eigenvalue
+    if abs(lt_signature(v, OMEGA_MINUS_ONE)) == v.size:
         return MetabolizerSearch((), complete=True)
     return MetabolizerSearch(tuple(_bounded_search(v, search_bound)),
                              complete=False)
@@ -249,21 +238,6 @@ class DerivativeLink:
         return self.link.components
 
 
-def _quotient_coords(p: Submodule, vec):
-    """Coordinates of vec in A0/P: residual after reduction by P's basis,
-    projected onto the non-pivot coordinates."""
-    v = list(map(F, vec))
-    width = len(v)
-    pivots = []
-    for row in p.basis:
-        pc = next(i for i in range(width) if row[i] != 0)
-        pivots.append(pc)
-        if v[pc] != 0:
-            c = v[pc]
-            v = [v[k] - c * row[k] for k in range(width)]
-    return tuple(v[i] for i in range(width) if i not in set(pivots))
-
-
 def _dual_partner(v: SeifertMatrix, b):
     """Rational w with b^T (V - V^T) w = 1 (intersection-dual direction)."""
     n = v.size
@@ -291,7 +265,7 @@ def _canonical_f(v: SeifertMatrix, mod, lagr, basis):
         w = _dual_partner(v, b)
         cls = _incl_rational(mod, w)
         shifted = tuple(a - b_ for a, b_ in zip(mod.t_action(cls), cls))
-        images.append(_quotient_coords(lagr, shifted))
+        images.append(lagr.quotient_coords(shifted))
     return tuple(images), d
 
 

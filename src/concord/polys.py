@@ -2,8 +2,9 @@
 
 A polynomial is a list of Fractions, index = degree, with no trailing
 zeros; the zero polynomial is the empty list.  This module carries the
-shared exact kernel: arithmetic, Euclidean division, gcd, squarefree
-decomposition, Sturm chains, real root isolation and resultants.
+shared exact kernel: arithmetic, Euclidean division, gcd, content,
+squarefree decomposition, Sturm chains, real root isolation and the
+fraction-free elimination of polynomial matrices.
 """
 
 from __future__ import annotations
@@ -262,40 +263,38 @@ def refine_root(p, lo, hi, width):
     return lo, hi
 
 
-def resultant(p, q):
-    """Resultant via Gaussian elimination on the Sylvester matrix."""
-    m, n = deg(p), deg(q)
-    if m < 0 or n < 0:
-        return F(0)
-    if m == 0:
-        return p[0] ** n
-    if n == 0:
-        return q[0] ** m
-    size = m + n
-    rows = []
-    pc = list(reversed(p))
-    qc = list(reversed(q))
-    for i in range(n):
-        rows.append([F(0)] * i + pc + [F(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([F(0)] * i + qc + [F(0)] * (size - n - 1 - i))
-    det = F(1)
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if rows[r][col] != 0:
-                piv = r
-                break
+def bareiss(mat, rhs=None):
+    """Fraction-free (Bareiss, 1968) elimination of a square matrix over Q[x].
+
+    Every division is exact: after step k each entry is a minor of order
+    k + 1.  Returns (d, x) with d = det(mat).  Given right-hand columns
+    rhs (one list of polynomials per row), the pass also clears above each
+    pivot and x = d * mat^-1 * rhs; otherwise it clears below only, which
+    is all the determinant needs, and x is None.
+    """
+    n = len(mat)
+    a = [[list(e) for e in row] + [list(e) for e in (rhs[i] if rhs else ())]
+         for i, row in enumerate(mat)]
+    width = len(a[0]) if a else 0
+    sign, prev, pivot = 1, [F(1)], [F(1)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            return F(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                for c2 in range(col, size):
-                    rows[r][c2] -= f * rows[col][c2]
-    return det
+            return [], None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot, top = a[k][k], a[k]
+        for i in (range(n) if rhs else range(k + 1, n)):
+            if i == k:
+                continue
+            row, f = a[i], a[i][k]
+            for j in range(k + 1, width):
+                row[j] = exact_div(sub(mul(row[j], pivot), mul(f, top[j])), prev)
+            row[k] = []
+        prev = pivot
+    det = pivot if sign > 0 else neg(pivot)
+    if not rhs:
+        return det, None
+    # the left block is now pivot * I, so the right block is pivot * mat^-1 rhs
+    return det, [[e if sign > 0 else neg(e) for e in row[n:]] for row in a]

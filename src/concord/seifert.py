@@ -186,41 +186,18 @@ def torus_knot(p: int, q: int) -> SeifertMatrix:
 # Alexander polynomial
 # ---------------------------------------------------------------------------
 
-def _det_poly_matrix(m):
-    """Fraction-free Bareiss determinant of a matrix of dense polynomials."""
-    n = len(m)
-    if n == 0:
-        return [F(1)]
-    m = [[list(x) for x in row] for row in m]
-    sign = 1
-    prev = [F(1)]
-    for k in range(n - 1):
-        if polys.is_zero(m[k][k]):
-            piv = next((i for i in range(k + 1, n)
-                        if not polys.is_zero(m[i][k])), None)
-            if piv is None:
-                return []
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for jj in range(k + 1, n):
-                num = polys.sub(polys.mul(m[i][jj], m[k][k]),
-                                polys.mul(m[i][k], m[k][jj]))
-                m[i][jj] = polys.exact_div(num, prev)
-            m[i][k] = []
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return polys.neg(d) if sign < 0 else d
+def presentation_matrix(v: SeifertMatrix):
+    """tV - V^T as a matrix of dense polynomials in t."""
+    e = v.entries
+    return [[polys.trim([F(-e[b][a]), F(e[a][b])]) for b in range(v.size)]
+            for a in range(v.size)]
 
 
 def alexander_poly(v: SeifertMatrix) -> LaurentPoly:
     """normalize(det(tV - V^T)); equals 1 for the empty matrix."""
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return LaurentPoly.one()
-    m = [[polys.trim([F(-v.entries[b][a]), F(v.entries[a][b])])
-          for b in range(n)] for a in range(n)]
-    det = _det_poly_matrix(m)
+    det, _ = polys.bareiss(presentation_matrix(v))
     if polys.is_zero(det):
         raise ArithmeticError("degenerate Seifert matrix: det(tV - V^T) = 0")
     return normalize(LaurentPoly.from_dense(det))
@@ -555,7 +532,11 @@ def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> CertifiedReal:
 # ---------------------------------------------------------------------------
 
 def signature_arcs(v: SeifertMatrix, bits: int = 64):
-    """[(phi_lo, phi_hi, sigma)] with phi = theta/pi enclosures per arc."""
+    """[(phi_lo, phi_hi, sigma)] with phi = theta/pi enclosures per arc.
+
+    Endpoints are rounded outward to the grid 2^-bits: the raw arccos
+    enclosures carry numerators of thousands of digits.
+    """
     if v.size == 0:
         return [(F(0), F(1), 0)]
     roots = _isolated_x_roots(v, F(1, 1 << 34))
@@ -564,7 +545,9 @@ def signature_arcs(v: SeifertMatrix, bits: int = 64):
     for r in desc:
         bounds.append(certified.acos_over_pi(r.x_lo / 2, r.x_hi / 2, bits))
     bounds.append((F(1), F(1)))
-    return [(bounds[j][0], bounds[j + 1][1], sigmas[j])
+    grid = 1 << bits
+    return [(F((bounds[j][0] * grid).__floor__(), grid),
+             F((bounds[j + 1][1] * grid).__ceil__(), grid), sigmas[j])
             for j in range(len(sigmas))]
 
 

@@ -233,6 +233,15 @@ def _require(doc, key, context):
     return doc[key]
 
 
+def _int_field(doc, key, context):
+    value = _require(doc, key, context)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{context}: field {key!r} must be an integer, "
+                          f"got {value!r}") from None
+
+
 def parse_fact(doc) -> Fact:
     kind = _require(doc, "kind", "fact")
     if kind not in ("sigvalue", "siginterval", "sigsign", "slice_lagrangians"):
@@ -250,7 +259,8 @@ def parse_site(doc, context) -> Site:
     if doc.get("second_derived"):
         return Site(infect=infect, second_derived=True)
     if "band_meridian" in doc:
-        return Site(infect=infect, band_meridian=int(doc["band_meridian"]))
+        return Site(infect=infect, band_meridian=_int_field(
+            doc, "band_meridian", f"{context}.site"))
     if "eta_module" in doc:
         return Site(infect=infect,
                     eta_module=tuple(F(str(c)) for c in doc["eta_module"]))
@@ -276,21 +286,21 @@ def parse_knot(doc) -> KnotSpec:
         return tuple(parse_knot(d) for d in fam_doc[key])
 
     if ftype == "twist":
-        fam = Twist(int(_require(fam_doc, "tw", ctx)), sub("cores"),
+        fam = Twist(_int_field(fam_doc, "tw", ctx), sub("cores"),
                     fam_doc.get("base_name", ""))
     elif ftype == "torus":
-        fam = Torus(int(_require(fam_doc, "p", ctx)),
-                    int(_require(fam_doc, "q", ctx)))
+        fam = Torus(_int_field(fam_doc, "p", ctx),
+                    _int_field(fam_doc, "q", ctx))
     elif ftype == "genus_one":
-        fam = GenusOne(int(_require(fam_doc, "l", ctx)),
-                       int(_require(fam_doc, "tw", ctx)),
+        fam = GenusOne(_int_field(fam_doc, "l", ctx),
+                       _int_field(fam_doc, "tw", ctx),
                        sub("cores"),
                        fam_doc.get("string_link", "generic"),
                        fam_doc.get("base_name", ""))
     elif ftype == "genus_two_fig9":
         b = fam_doc.get("B")
-        fam = GenusTwoFig9(int(_require(fam_doc, "l1", ctx)),
-                           int(_require(fam_doc, "l2", ctx)),
+        fam = GenusTwoFig9(_int_field(fam_doc, "l1", ctx),
+                           _int_field(fam_doc, "l2", ctx),
                            sub("L", required=True),
                            sub("LL", required=True),
                            parse_knot(b) if b is not None else None)
@@ -329,7 +339,9 @@ def parse_link(doc) -> LinkSpec:
     rho0 = tuple((str(a), str(c)) for a, c in doc.get("declared_rho0", ()))
     facts = tuple(parse_fact(f) for f in doc.get("facts", ()))
     return LinkSpec(name, comps, structure, infections,
-                    None if nullity is None else int(nullity), rho0, facts)
+                    None if nullity is None
+                    else _int_field(doc, "declared_nullity", f"link {name}"),
+                    rho0, facts)
 
 
 def parse_document(doc):

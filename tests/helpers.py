@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from concord.seifert import SeifertMatrix
+from concord import polys
+from concord.alexander import BL_ZERO, _reduce_mod_ring
+from concord.seifert import SeifertMatrix, presentation_matrix
 
 F = Fraction
 
@@ -200,3 +202,131 @@ def oracle_lt_signature(v, s):
                 sig = sum(1 if x > 0 else -1 for x in big)
                 return sig if s > 0 else -sig
     raise ArithmeticError("oracle failed to certify eigenvalues")
+
+
+def resultant(p, q):
+    """Resultant via Gaussian elimination on the Sylvester matrix."""
+    m, n = polys.deg(p), polys.deg(q)
+    if m < 0 or n < 0:
+        return F(0)
+    if m == 0:
+        return p[0] ** n
+    if n == 0:
+        return q[0] ** m
+    size = m + n
+    rows = []
+    pc = list(reversed(p))
+    qc = list(reversed(q))
+    for i in range(n):
+        rows.append([F(0)] * i + pc + [F(0)] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([F(0)] * i + qc + [F(0)] * (size - n - 1 - i))
+    det = F(1)
+    for col in range(size):
+        piv = None
+        for r in range(col, size):
+            if rows[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return F(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, size):
+            if rows[r][col] != 0:
+                f = rows[r][col] * inv
+                for c2 in range(col, size):
+                    rows[r][c2] -= f * rows[col][c2]
+    return det
+
+
+class RatFunc:
+    """num/den with dense rational polynomials, den monic, gcd cleared."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        den = [F(1)] if den is None else list(den)
+        num = list(num)
+        if polys.is_zero(den):
+            raise ZeroDivisionError("rational function with zero denominator")
+        if polys.is_zero(num):
+            self.num, self.den = [], [F(1)]
+            return
+        g = polys.gcd_monic(num, den)
+        if polys.deg(g) > 0:
+            num = polys.exact_div(num, g)
+            den = polys.exact_div(den, g)
+        lc = den[-1]
+        self.num = [c / lc for c in num]
+        self.den = [c / lc for c in den]
+
+    @property
+    def is_zero(self):
+        return not self.num
+
+    def __add__(self, other):
+        return RatFunc(
+            polys.add(polys.mul(self.num, other.den),
+                      polys.mul(other.num, self.den)),
+            polys.mul(self.den, other.den))
+
+    def __sub__(self, other):
+        return RatFunc(
+            polys.sub(polys.mul(self.num, other.den),
+                      polys.mul(other.num, self.den)),
+            polys.mul(self.den, other.den))
+
+    def __mul__(self, other):
+        if isinstance(other, RatFunc):
+            return RatFunc(polys.mul(self.num, other.num),
+                           polys.mul(self.den, other.den))
+        return RatFunc(polys.mul(self.num, list(other)), self.den)
+
+    def __truediv__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc(polys.mul(self.num, other.den),
+                       polys.mul(self.den, other.num))
+
+
+def ratfunc_solve(mat, rhs):
+    """Solve mat @ x = rhs over the rational function field (square mat)."""
+    n = len(mat)
+    a = [[RatFunc(e) for e in row] for row in mat]
+    x = [RatFunc(e) for e in rhs]
+    aug = [a[i] + [x[i]] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
+        if piv is None:
+            raise ArithmeticError("singular presentation matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = RatFunc([F(1)]) / aug[col][col]
+        aug[col] = [e * inv for e in aug[col]]
+        for r in range(n):
+            if r != col and not aug[r][col].is_zero:
+                f_ = aug[r][col]
+                aug[r] = [aug[r][k] - f_ * aug[col][k] for k in range(n + 1)]
+    return [aug[i][n] for i in range(n)]
+
+
+def oracle_blanchfield(mod, x, y):
+    """x-bar^T (t - 1) (tV - V^T)^{-1} y over Q(t), one gcd per operation:
+    the rational-function engine the adjugate form replaced."""
+    if mod.dim == 0:
+        return BL_ZERO
+    px, py = mod.rep_of(x), mod.rep_of(y)
+    w = ratfunc_solve(presentation_matrix(mod.V), py)
+    dmax = max((polys.deg(p) for p in px if p), default=0)
+    total = RatFunc([])
+    for pj, wj in zip(px, w):
+        if pj and not wj.is_zero:
+            rev = polys.trim([F(0)] * (dmax - polys.deg(pj)) + list(reversed(pj)))
+            total = total + wj * rev
+    if total.is_zero:
+        return BL_ZERO
+    num = polys.mul(total.num, [F(-1), F(1)])
+    return _reduce_mod_ring(num, total.den, -dmax)

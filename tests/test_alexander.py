@@ -10,7 +10,9 @@ from concord.alexander import (NotCyclic, UnsupportedModule, is_isotropic,
                                submodules_cyclic, zero_submodule)
 from concord.laurent import LaurentPoly, normalize, render
 from concord.seifert import (_qi_charpoly, connected_sum, genus_one,
-                             torus_knot, twist_knot, unknot)
+                             stabilize, torus_knot, twist_knot, unknot)
+
+from helpers import oracle_blanchfield, random_seifert
 
 F = Fraction
 
@@ -174,8 +176,6 @@ def test_degenerate_presentation_matches_direct():
     """A stabilized matrix has deg Delta < 2g and runs through the Smith
     normal form route; the module data must agree with the unstabilized
     direct-route module (S-equivalence invariance)."""
-    from concord.seifert import stabilize
-
     v = twist_knot(2)
     w = stabilize(stabilize(v, [3, -1], 4), [0, 1, 2, -2], -1)
     direct = present(v)
@@ -201,3 +201,33 @@ def test_degenerate_presentation_matches_direct():
     lag = metabolizer_to_lagrangian(snf, Metabolizer(w, basis))
     assert is_isotropic(snf, lag)
     assert is_lagrangian(snf, lag)   # deg Delta = 2, image spans rank 1
+
+
+def test_blanchfield_matches_rational_function_oracle():
+    """The adjugate form over det(tV - V^T) against the Q(t) engine it
+    replaced, on direct-mode modules (det V != 0) and on Smith-form
+    modules (stabilized, hence singular V)."""
+    rng = random.Random(11)
+    mods = {"direct": [], "snf": []}
+    while len(mods["direct"]) < 6 or len(mods["snf"]) < 4:
+        v = random_seifert(rng, rng.choice((1, 2)), bound=3)
+        if len(mods["snf"]) < 4 and v.genus == 1:
+            xi = [rng.randint(-2, 2) for _ in range(v.size)]
+            v = stabilize(v, xi, rng.randint(-2, 2))
+        try:
+            mod = present(v)
+        except ArithmeticError:
+            continue  # det(tV - V^T) = 0: no module
+        if mod.dim == 0:
+            continue
+        kind = "direct" if mod.dim == v.size else "snf"
+        if len(mods[kind]) < (6 if kind == "direct" else 4):
+            mods[kind].append(mod)
+    for mod in mods["direct"] + mods["snf"]:
+        n = mod.dim
+        basis = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+        vecs = basis + [tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                              for _ in range(n)) for _ in range(2)]
+        for x in vecs:
+            for y in vecs:
+                assert mod.blanchfield(x, y) == oracle_blanchfield(mod, x, y)

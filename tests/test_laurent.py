@@ -8,6 +8,8 @@ from concord.laurent import (LaurentPoly, UnsupportedDegree, ZeroPolynomial,
                              conjugate, factor, fox_milnor, gcd, normalize,
                              parse, render)
 
+from helpers import resultant
+
 F = Fraction
 
 
@@ -89,10 +91,10 @@ def test_gcd_against_resultant_oracle():
         qb = polys.divmod_poly(pb, gd)
         assert polys.is_zero(qa[1]) and polys.is_zero(qb[1])
         if polys.deg(qa[0]) > 0 and polys.deg(qb[0]) > 0:
-            assert polys.resultant(qa[0], qb[0]) != 0
+            assert resultant(qa[0], qb[0]) != 0
         # resultant detects exactly the nontrivial-gcd cases
         if polys.deg(pa) > 0 and polys.deg(pb) > 0:
-            assert (polys.resultant(pa, pb) == 0) == (g.span > 0)
+            assert (resultant(pa, pb) == 0) == (g.span > 0)
 
 
 def test_conjugate_examples():

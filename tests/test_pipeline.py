@@ -340,3 +340,34 @@ def test_cli_assumption_file(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["second"]["conclusion"] == NOT_SLICE
     assert "rho0(J1)" in doc["second"]["assumptions_used"]
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (3, 5), (2, 7)])
+def test_cli_torus_report(tmp_path, capsys, p, q):
+    spec_path = tmp_path / "torus.json"
+    spec_path.write_text(json.dumps(
+        {"name": f"T({p},{q})", "family": {"type": "torus", "p": p, "q": q}}))
+    assert cli.main(["--format", "json", "report", str(spec_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    arcs = doc["signature_function"]["arcs"]
+    assert arcs[0][0] == "0" and arcs[-1][1] == "1"
+    assert all(len(x) < 60 for lo, hi, _ in arcs for x in (lo, hi))
+
+
+@pytest.mark.parametrize("args,family", [
+    (["--precision", "abc", "rho0"], {"type": "twist", "tw": 2}),
+    (["--precision", "0", "rho0"], {"type": "twist", "tw": 2}),
+    (["--precision=-1/2", "report"], {"type": "twist", "tw": 2}),
+    (["--precision", "1/0", "rho0"], {"type": "twist", "tw": 2}),
+    (["rho0"], {"type": "twist", "tw": "a"}),
+    (["alexpoly"], {"type": "torus", "p": 2, "q": [3]}),
+    (["--format", "csv", "alexpoly"], {"type": "twist", "tw": 2}),
+    (["--format", "csv", "report"], {"type": "twist", "tw": 2}),
+])
+def test_cli_usage_errors_exit_2(tmp_path, capsys, args, family):
+    spec_path = tmp_path / "k.json"
+    spec_path.write_text(json.dumps({"name": "k", "family": family}))
+    assert cli.main(args + [str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

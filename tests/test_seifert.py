@@ -8,7 +8,7 @@ from concord.laurent import LaurentPoly, normalize
 from concord.seifert import (NotAKnot, SeifertMatrix, UnitCirclePoint,
                              alexander_poly, connected_sum, genus_one,
                              jump_set, lt_signature, matrix_from_text,
-                             matrix_to_text, mirror, rho0,
+                             matrix_to_text, mirror, rho0, signature_arcs,
                              signature_function_csv, stabilize, torus_knot,
                              twist_knot, unknot)
 
@@ -150,6 +150,17 @@ def test_signature_csv_and_matrix_text():
     assert matrix_from_text(txt).entries == twist_knot(2).entries
     with pytest.raises(ValueError):
         matrix_from_text("1\n1 2 3")
+
+
+def test_signature_arcs_dyadic_and_nested():
+    for p, q in ((2, 5), (3, 5), (2, 7)):
+        v = torus_knot(p, q)
+        coarse, fine = signature_arcs(v, 64), signature_arcs(v, 128)
+        assert [s for _, _, s in coarse] == [s for _, _, s in fine]
+        for (lo, hi, _), (flo, fhi, _) in zip(coarse, fine):
+            assert (1 << 64) % lo.denominator == 0
+            assert (1 << 64) % hi.denominator == 0
+            assert lo <= flo <= fhi <= hi
 
 
 def test_unit_circle_point():
