@@ -723,8 +723,4 @@ def isotropic_submodules(mod):
 
 def lagrangians(mod):
     """All Lagrangians (exact half-dimensional self-annihilating submodules)."""
-    try:
-        subs = submodules_cyclic(mod)
-    except NotCyclic as exc:
-        raise UnsupportedModule(str(exc)) from exc
-    return [s for s in subs if is_lagrangian(mod, s)]
+    return [s for s in isotropic_submodules(mod) if 2 * s.dim == mod.dim]

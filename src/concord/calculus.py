@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import alexander, specs
+from . import alexander, seifert, specs
 from .alexander import Submodule
 
 F = Fraction
@@ -300,22 +300,6 @@ class Assumptions:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_RHO0_CACHE: dict = {}
-
-
-def _rho0_certified(spec: specs.KnotSpec, target_radius):
-    from .seifert import rho0
-
-    got = _RHO0_CACHE.get((spec, target_radius))
-    if got is None:
-        v = specs.seifert_matrix(spec)
-        if v is None:
-            return None
-        got = rho0(v, target_radius)
-        _RHO0_CACHE[(spec, target_radius)] = got
-    return got
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Outcome of evaluating a SigExpr: a certified enclosure when fully
@@ -341,10 +325,16 @@ class EvalResult:
 
 
 def evaluate(expr: SigExpr, assumptions: Assumptions | None = None,
-             target_radius=F(1, 10 ** 9)) -> EvalResult:
+             target_radius=F(1, 10 ** 9), rho0=None) -> EvalResult:
     """Resolve rho0 atoms by certified integration and opaque atoms by
-    assumption; assumptions win over computation when both apply."""
+    assumption; assumptions win over computation when both apply.  rho0
+    maps a knot spec to its certified rho0 (None if it has no matrix);
+    by default it is computed here at target_radius."""
     assumptions = assumptions or Assumptions()
+    if rho0 is None:
+        def rho0(spec):
+            v = specs.seifert_matrix(spec)
+            return None if v is None else seifert.rho0(v, target_radius)
     interval = Interval.point(expr.const)
     unresolved = []
     used = []
@@ -364,7 +354,7 @@ def evaluate(expr: SigExpr, assumptions: Assumptions | None = None,
                     unresolved.append(atom)
                 continue
         if atom.kind == "rho0" and atom.spec is not None:
-            cert = _rho0_certified(atom.spec, target_radius)
+            cert = rho0(atom.spec)
             if cert is not None:
                 interval = interval + Interval.from_certified(cert).scale(coeff)
                 continue

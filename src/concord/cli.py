@@ -31,13 +31,6 @@ def _load_spec(path):
         return pipeline.ingest(fh.read())
 
 
-def _load_assumptions(path):
-    if not path:
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return pipeline.load_assumptions(fh.read())
-
-
 def _need_knot(spec):
     if not isinstance(spec, specs.KnotSpec):
         raise specs.SchemaError("this subcommand expects a knot spec")
@@ -97,8 +90,12 @@ def main(argv=None) -> int:
             raise specs.SchemaError("--format csv applies to sigfn only")
         radius = _radius(args.precision)
         spec = _load_spec(args.spec)
-        assumptions = _load_assumptions(args.assume)
-        return _dispatch(args, spec, assumptions, radius)
+        assumptions = None
+        if args.assume:
+            with open(args.assume, "r", encoding="utf-8") as fh:
+                assumptions = pipeline.load_assumptions(fh.read())
+        req = pipeline.Request(spec, assumptions, radius, args.search_bound)
+        return _dispatch(args, req)
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -110,8 +107,9 @@ def main(argv=None) -> int:
         return EXIT_UNSUPPORTED
 
 
-def _dispatch(args, spec, assumptions, radius) -> int:
+def _dispatch(args, req) -> int:
     cmd = args.command
+    spec = req.spec
     if cmd == "alexpoly":
         v = _matrix(spec)
         delta = sf.alexander_poly(v)
@@ -123,14 +121,14 @@ def _dispatch(args, spec, assumptions, radius) -> int:
         print(sf.signature_function_csv(v), end="")
         return 0
     if cmd == "rho0":
-        v = _matrix(spec)
-        r = sf.rho0(v, radius)
+        _matrix(spec)
+        r = req.rho0(spec)
         _emit(args, {"name": spec.name, "mid": str(r.mid), "rad": str(r.rad)},
               f"rho0({spec.name}) = {r.mid} +- {r.rad}")
         return 0
     if cmd == "algslice":
-        v = _matrix(spec)
-        search = mb.catalogued_metabolizers(_need_knot(spec))
+        _matrix(spec)
+        search = mb.catalogued_metabolizers(spec, req.search_bound)
         slice_ = len(search) > 0
         _emit(args, {"name": spec.name, "algebraically_slice": slice_,
                      "search_complete": search.complete},
@@ -145,7 +143,7 @@ def _dispatch(args, spec, assumptions, radius) -> int:
         elif v.genus == 0:
             items, complete = [], True
         else:
-            search = mb.higher_genus_metabolizers(v, args.search_bound)
+            search = mb.higher_genus_metabolizers(v, req.search_bound)
             items, complete = list(search), search.complete
         text = [f"complete: {complete}"] + [str(list(map(list, m.basis)))
                                             for m in items]
@@ -154,20 +152,19 @@ def _dispatch(args, spec, assumptions, radius) -> int:
               "\n".join(text))
         return 0
     if cmd == "lagrangians":
-        mod = pipeline.knot_module(_need_knot(spec))
-        lags = alexander.lagrangians(mod) if mod.dim else []
+        lags = req.lagrangians(req.module(_need_knot(spec)))
         _emit(args, {"name": spec.name,
                      "lagrangians": [lrender(l.order_ideal) for l in lags]},
               "\n".join(lrender(l.order_ideal) for l in lags) or "(none)")
         return 0
     if cmd == "first-order":
         if isinstance(spec, specs.LinkSpec):
-            exprs = pipeline.link_first_order_sigs(spec)
+            exprs = req.link_first_order(spec)
             _emit(args, {"name": spec.name,
                          "first_order": [x.render() for x in exprs]},
                   "\n".join(x.render() for x in exprs))
             return 0
-        entries = pipeline.knot_first_order_sigs(spec)
+        entries = req.first_order(spec)
         _emit(args, {"name": spec.name, "first_order": [
             {"order": lrender(e.submodule.order_ideal),
              "expr": e.expr.render(), "route": e.route} for e in entries]},
@@ -175,7 +172,8 @@ def _dispatch(args, spec, assumptions, radius) -> int:
                         f"{e.expr.render()}" for e in entries))
         return 0
     if cmd == "second-order":
-        so = pipeline.second_order_set(_need_knot(spec), assumptions)
+        _need_knot(spec)
+        so = req.second_order
         payload = {"name": spec.name, "degenerate": so.degenerate,
                    "members": [x.render() for x in so.members],
                    "entries": [{
@@ -192,31 +190,24 @@ def _dispatch(args, spec, assumptions, radius) -> int:
               "\n".join(payload["members"]) or "(empty)")
         return 0
     if cmd == "cooper":
-        rows = pipeline.cooper_check(spec, assumptions)
+        rows = req.cooper
         _emit(args, {"name": spec.name, "rows": [r.as_dict() for r in rows]},
               "\n".join(f"{r.subject}: c={r.components} eta={r.nullity} "
                         f"bound={r.bound} value={r.expr.render()} "
                         f"-> {r.status}" for r in rows) or "(no rows)")
         return 0
     if cmd == "verdict":
-        spec = _need_knot(spec)
-        verdicts = {
-            "zeroth": pipeline.zeroth_order_verdict(spec, assumptions, radius),
-            "first": pipeline.first_order_verdict(spec, assumptions),
-            "second": pipeline.second_order_verdict(spec, assumptions)}
+        _need_knot(spec)
+        verdicts = {"zeroth": req.zeroth, "first": req.first,
+                    "second": req.second}
         _emit(args, {k: v.as_dict() for k, v in verdicts.items()},
               "\n".join(f"{k}: {v.conclusion} ({v.witness})"
                         for k, v in verdicts.items()))
         return 0
     if cmd == "report":
-        spec = _need_knot(spec)
-        if args.format == "json":
-            print(pipeline.report_json(
-                spec, assumptions, target_radius=radius,
-                enumerate_metabolizers=args.enumerate_metabolizers))
-        else:
-            print(pipeline.report_text(spec, assumptions,
-                                       target_radius=radius), end="")
+        _need_knot(spec)
+        doc = req.report(args.enumerate_metabolizers)
+        _emit(args, doc, pipeline.render_report(doc))
         return 0
     raise AssertionError(f"unhandled command {cmd}")
 

@@ -283,29 +283,32 @@ def _torus_spec(n: int) -> specs.KnotSpec:
     return specs.KnotSpec(name, specs.Torus(n, 1 - n))
 
 
-def _is_trivial_spec(k) -> bool:
-    return isinstance(k.family, specs.Unknot)
-
-
-def _knot_derivative(spec, m, component):
-    v = specs.seifert_matrix(spec)
-    mod = present(v)
-    lagr = metabolizer_to_lagrangian(mod, m)
-    f_images, f_rank = _canonical_f(v, mod, lagr, m.basis)
-    link = specs.LinkSpec(name=f"d({spec.name};{component.name})",
+def _knot_derivative(spec, component):
+    return specs.LinkSpec(name=f"d({spec.name};{component.name})",
                           components=(component,), structure="knot")
-    return DerivativeLink(link, m, f_images, f_rank)
 
 
-def derivative(spec: specs.KnotSpec, m: Metabolizer) -> DerivativeLink:
+def derivative(spec: specs.KnotSpec, m: Metabolizer,
+               mod: AlexanderModule | None = None) -> DerivativeLink:
     """The derivative link with respect to a catalogued metabolizer.
 
+    mod is the knot's Alexander module, presented here when not given.
     Raises NotRepresentable when the (family, metabolizer) pair is not in
     the catalogue: the answer would depend on undeclared geometry.
     """
+    link = _derivative_link(spec, m)
+    v = specs.seifert_matrix(spec)
+    if mod is None:
+        mod = present(v)
+    lagr = metabolizer_to_lagrangian(mod, m)
+    f_images, f_rank = _canonical_f(v, mod, lagr, m.basis)
+    return DerivativeLink(link, m, f_images, f_rank)
+
+
+def _derivative_link(spec, m) -> specs.LinkSpec:
     fam = spec.family
     if isinstance(fam, specs.Twist):
-        if fam.cores and not all(_is_trivial_spec(c) for c in fam.cores):
+        if not all(isinstance(c.family, specs.Unknot) for c in fam.cores):
             raise NotRepresentable(
                 "twist-family derivative with knotted band cores is not "
                 "catalogued")
@@ -313,15 +316,15 @@ def derivative(spec: specs.KnotSpec, m: Metabolizer) -> DerivativeLink:
         if u != 1 or not is_metabolizer(m.matrix, m.basis):
             raise NotRepresentable(f"({u}, {k}) is not a catalogued "
                                    "twist-family metabolizer")
-        return _knot_derivative(spec, m, _torus_spec(k))
+        return _knot_derivative(spec, _torus_spec(k))
     if isinstance(fam, specs.GenusOne):
         vec, = m.basis
         cores = fam.cores or (specs.unknot_spec(f"{spec.name}.core1"),
                               specs.unknot_spec(f"{spec.name}.core2"))
         if vec == (1, 0):
-            return _knot_derivative(spec, m, cores[0])
+            return _knot_derivative(spec, cores[0])
         if vec == (0, 1) and fam.tw == 0:
-            return _knot_derivative(spec, m, cores[1])
+            return _knot_derivative(spec, cores[1])
         raise NotRepresentable(
             "only the band-core metabolizers of the doubled-band family "
             "have catalogued derivatives")
@@ -368,15 +371,10 @@ def _fig9_derivative(spec, m):
         infections.append(specs.LinkInfection(fam.B))
     infections.append(specs.LinkInfection(comp2))
     structure = "split" if (i, j) == (1, 2) else "boundary"
-    link = specs.LinkSpec(name=f"{spec.name}.J{i}{j}",
+    return specs.LinkSpec(name=f"{spec.name}.J{i}{j}",
                           components=(comp1, comp2),
                           structure=structure,
                           infections=tuple(infections))
-    v = specs.seifert_matrix(spec)
-    mod = present(v)
-    lagr = metabolizer_to_lagrangian(mod, m)
-    f_images, f_rank = _canonical_f(v, mod, lagr, m.basis)
-    return DerivativeLink(link, m, f_images, f_rank)
 
 
 def _sum_derivative(spec, m):
@@ -398,15 +396,10 @@ def _sum_derivative(spec, m):
         if any(vec[:offset]) or any(vec[offset + pv.size:]):
             raise NotRepresentable("metabolizer mixes connected summands")
         sub_m = Metabolizer(pv, (seg,))
-        comps.append(derivative(part, sub_m).components[0])
+        comps.append(_derivative_link(part, sub_m).components[0])
         offset += pv.size
-    v = specs.seifert_matrix(spec)
-    mod = present(v)
-    lagr = metabolizer_to_lagrangian(mod, m)
-    f_images, f_rank = _canonical_f(v, mod, lagr, m.basis)
-    link = specs.LinkSpec(name=f"d({spec.name})", components=tuple(comps),
+    return specs.LinkSpec(name=f"d({spec.name})", components=tuple(comps),
                           structure="boundary")
-    return DerivativeLink(link, m, f_images, f_rank)
 
 
 def a_band_basis(v: SeifertMatrix):
@@ -429,13 +422,9 @@ def _explicit_derivative(spec, m):
         specs.unknot_spec(f"{spec.name}.a{i + 1}") for i in range(g))
     if len(cores) != g:
         raise NotRepresentable("band core declarations must cover all a-bands")
-    mod = present(v)
-    lagr = metabolizer_to_lagrangian(mod, m)
-    f_images, f_rank = _canonical_f(v, mod, lagr, m.basis)
     structure = "knot" if g == 1 else "declared"
-    link = specs.LinkSpec(name=f"d({spec.name})", components=tuple(cores),
+    return specs.LinkSpec(name=f"d({spec.name})", components=tuple(cores),
                           structure=structure)
-    return DerivativeLink(link, m, f_images, f_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +467,10 @@ def a_band_metabolizer(spec: specs.KnotSpec) -> Metabolizer:
 # Catalogued metabolizers of family knots
 # ---------------------------------------------------------------------------
 
-def catalogued_metabolizers(spec: specs.KnotSpec):
+def catalogued_metabolizers(spec: specs.KnotSpec, search_bound: int = 3):
     """The metabolizers the derivative catalogue can consume, in canonical
-    order, with a completeness flag for the underlying search."""
+    order, with a completeness flag for the underlying search (entries
+    up to search_bound where the higher-genus search is bounded)."""
     v = specs.seifert_matrix(spec)
     if v is None:
         raise NotRepresentable(f"abstract knot {spec.name} has no matrix")
@@ -493,4 +483,4 @@ def catalogued_metabolizers(spec: specs.KnotSpec):
             return MetabolizerSearch((a_band_metabolizer(spec),), complete=False)
         except NotMetabolic:
             return MetabolizerSearch((), complete=False)
-    return higher_genus_metabolizers(v)
+    return higher_genus_metabolizers(v, search_bound)

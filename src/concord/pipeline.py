@@ -1,6 +1,14 @@
 """End-to-end obstruction pipeline: from a knot/link description to
 zero-th, first- and second-order signature data and sliceness verdicts.
 
+One library call or one CLI command is one request (`Request`).  Every
+stage runs at most once per distinct input: the Alexander module, its
+submodules and rho0 once per Seifert matrix, the metabolizer map and the
+first-order entries once per knot, the chosen derivative once per
+(knot, Lagrangian).  Each verdict reads the one below it, a report
+renders the objects the verdicts use, and the rho0 radius and the
+metabolizer search bound reach every stage.  Nothing outlives a request.
+
 Verdict logic is deliberately conservative.  A Lagrangian whose
 first-order expression cannot be certified nonzero is kept as a
 candidate for the second-order stage; a not-slice conclusion is only
@@ -14,13 +22,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import alexander, calculus, metabolizers as mb, seifert as sf, specs
-from .calculus import (Assumptions, EvalResult, SigExpr, evaluate,
-                       rho0_atom, rho1_atom)
+from .calculus import Assumptions, EvalResult, SigExpr, rho0_atom, rho1_atom
+from .laurent import render as lrender
 from .specs import KnotSpec, LinkSpec, SchemaError
 
 F = Fraction
+
+DEFAULT_RADIUS = F(1, 10 ** 9)
 
 NOT_SLICE = "NotSlice"
 INCONCLUSIVE = "Inconclusive"
@@ -49,6 +60,58 @@ class Verdict:
                 "witness": self.witness, "label": self.label,
                 "assumptions_used": list(self.assumptions_used),
                 "residuals": [a.name for a in self.residuals]}
+
+
+@dataclass(frozen=True)
+class FirstOrderEntry:
+    submodule: alexander.Submodule = field(compare=False, hash=False)
+    expr: SigExpr
+    route: str                # calculus | derivative | opaque | degenerate
+    metabolizer: object = None
+    derivative: object = None
+
+
+@dataclass(frozen=True)
+class SecondOrderEntry:
+    lagrangian: alexander.Submodule = field(compare=False, hash=False)
+    first_order_expr: SigExpr = SigExpr.zero()
+    certified_nonzero: bool = False
+    metabolizer: object = None
+    derivative: object = None
+    exprs: tuple = ()          # first-order set of the derivative
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class SecondOrderSet:
+    entries: tuple
+    degenerate: bool = False   # trivial Alexander polynomial
+
+    @property
+    def members(self):
+        return [x for e in self.entries if not e.certified_nonzero
+                for x in e.exprs]
+
+
+@dataclass(frozen=True)
+class CooperRow:
+    subject: str
+    components: int
+    nullity: int | None
+    bound: Fraction | None
+    expr: SigExpr
+    status: str        # satisfied | violated | unknown
+    interval: str
+    assumptions_used: tuple = ()
+
+    def as_dict(self):
+        return {"subject": self.subject, "components": self.components,
+                "nullity": self.nullity,
+                "bound": None if self.bound is None else str(self.bound),
+                "value": self.expr.render(), "status": self.status,
+                "interval": self.interval,
+                "assumptions_used": list(self.assumptions_used),
+                "label": LABEL_FIRST}
 
 
 # ---------------------------------------------------------------------------
@@ -105,23 +168,8 @@ def load_assumptions(text_or_dict) -> Assumptions:
 
 
 # ---------------------------------------------------------------------------
-# Module / infection-description assembly
+# Helpers of the stages
 # ---------------------------------------------------------------------------
-
-_MODULE_CACHE: dict = {}
-
-
-def knot_module(spec: KnotSpec) -> alexander.AlexanderModule:
-    mod = _MODULE_CACHE.get(spec)
-    if mod is None:
-        v = specs.seifert_matrix(spec)
-        if v is None:
-            raise mb.NotRepresentable(
-                f"abstract knot {spec.name} has no Seifert data")
-        mod = alexander.present(v)
-        _MODULE_CACHE[spec] = mod
-    return mod
-
 
 def _band_meridian_class(mod, band: int):
     """Module class of the band meridian: (t - 1) times the image of the
@@ -148,40 +196,6 @@ _CALCULUS_FAMILIES = (specs.Twist, specs.GenusOne, specs.Explicit,
                       specs.Unknot, specs.Torus)
 
 
-def infection_desc(spec: KnotSpec) -> calculus.InfectionDesc:
-    """Infection description of a catalogued knot: band cores become
-    sites along band meridians; explicit sites pass through."""
-    mod = knot_module(spec)
-    fam = spec.family
-    sites = []
-    base_terms = []
-    if isinstance(fam, _CALCULUS_FAMILIES):
-        cores = specs.band_cores(spec)
-        for band, core in enumerate(cores):
-            if isinstance(core.family, specs.Unknot):
-                continue
-            sites.append(calculus.ResolvedSite(
-                _band_meridian_class(mod, band), core))
-        for s in spec.sites:
-            if s.second_derived:
-                sites.append(calculus.ResolvedSite(None, s.infect))
-            elif s.band_meridian is not None:
-                sites.append(calculus.ResolvedSite(
-                    _band_meridian_class(mod, s.band_meridian), s.infect))
-            else:
-                if len(s.eta_module) != mod.dim:
-                    raise SchemaError(
-                        f"{spec.name}: site coordinates have length "
-                        f"{len(s.eta_module)}, module dimension is {mod.dim}")
-                sites.append(calculus.ResolvedSite(tuple(s.eta_module),
-                                                   s.infect))
-        if _slice_base(spec) and mod.dim > 0 and mod.is_cyclic:
-            for lag in alexander.lagrangians(mod):
-                base_terms.append((lag.basis, SigExpr.zero()))
-    base = specs.KnotSpec(_base_name(spec), specs.Abstract())
-    return calculus.InfectionDesc(base, mod, tuple(base_terms), tuple(sites))
-
-
 def _slice_base(spec: KnotSpec) -> bool:
     """Does the catalogue know the uninfected base bounds slice disks
     realizing every band Lagrangian?"""
@@ -202,104 +216,479 @@ def _fact_values(spec: KnotSpec) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# First-order signature sets of knots
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FirstOrderEntry:
-    submodule: alexander.Submodule = field(compare=False, hash=False)
-    expr: SigExpr
-    route: str                # calculus | derivative | opaque | degenerate
-    metabolizer: object = None
-    derivative: object = None
-
-
 def _derivative_rho0_expr(d: mb.DerivativeLink) -> SigExpr:
     if d.is_knot:
         comp = d.components[0]
         if isinstance(comp.family, specs.Unknot):
             return SigExpr.zero()
         return SigExpr.of_atom(rho0_atom(comp))
-    declared = calculus.declared_rho0(d.link)
+    return _link_rho0_expr(d.link)
+
+
+def _link_rho0_expr(link: LinkSpec) -> SigExpr:
+    declared = calculus.declared_rho0(link)
     if declared is not None:
         return declared
-    return calculus.rho0_of_infected_trivial_link(d.link)
+    return calculus.rho0_of_infected_trivial_link(link)
 
 
-def _lagrangian_metabolizers(spec: KnotSpec):
-    """Map Lagrangian basis -> catalogued metabolizer (first in canonical
-    order), plus the search completeness flag."""
-    mod = knot_module(spec)
-    search = mb.catalogued_metabolizers(spec)
-    mapping = {}
-    for m in search:
-        lag = mb.metabolizer_to_lagrangian(mod, m)
-        mapping.setdefault(lag.basis, []).append(m)
-    return {k: tuple(v) for k, v in mapping.items()}, search
+def _derivative_is_infected_trivial(d) -> bool:
+    return d is not None and (d.is_knot or bool(d.link.infections) or
+                              d.link.structure in ("split", "boundary"))
+
+
+def _is_maximal_nullity(d) -> bool:
+    return d is not None and \
+        calculus.nullity(d.link) == d.link.component_count - 1
+
+
+def _beyond(iv, bound) -> bool:
+    """Does the interval lie wholly outside [-bound, bound]?"""
+    return (iv.lo is not None and iv.lo > bound) or \
+           (iv.hi is not None and iv.hi < -bound)
+
+
+# ---------------------------------------------------------------------------
+# The request
+# ---------------------------------------------------------------------------
+
+class Request:
+    """One request: a knot or link spec, the assumptions merged with the
+    spec's declared facts, the rho0 radius, the metabolizer search bound
+    and a memo.  Stage methods take the knot they work on (the spec, or a
+    derivative's component met on the way); the verdicts, the Cooper rows
+    and the report are those of the request's spec.
+    """
+
+    def __init__(self, spec, assumptions: Assumptions | None = None,
+                 radius=DEFAULT_RADIUS, search_bound: int = 3):
+        facts = Assumptions.from_facts([spec]) \
+            if isinstance(spec, KnotSpec) else Assumptions()
+        self.spec = spec
+        self.assumptions = facts.merged(assumptions or Assumptions())
+        self.radius = radius
+        self.search_bound = search_bound
+        self._memo = {}
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    # -- per Seifert matrix -------------------------------------------------
+
+    def module(self, spec: KnotSpec) -> alexander.AlexanderModule:
+        v = specs.seifert_matrix(spec)
+        if v is None:
+            raise mb.NotRepresentable(
+                f"abstract knot {spec.name} has no Seifert data")
+        return self._once(("module", v), lambda: alexander.present(v))
+
+    def isotropic(self, mod):
+        return self._once(("isotropic", mod.V),
+                          lambda: alexander.isotropic_submodules(mod))
+
+    def lagrangians(self, mod):
+        if mod.dim == 0:
+            return []
+        return [s for s in self.isotropic(mod) if 2 * s.dim == mod.dim]
+
+    def rho0(self, spec: KnotSpec):
+        """Certified rho0 at the request's radius; None for an abstract knot."""
+        v = specs.seifert_matrix(spec)
+        if v is None:
+            return None
+        return self._once(("rho0", v), lambda: sf.rho0(v, self.radius))
+
+    def evaluate(self, expr: SigExpr) -> EvalResult:
+        return calculus.evaluate(expr, self.assumptions, self.radius,
+                                 self.rho0)
+
+    # -- per knot ------------------------------------------------------------
+
+    def metabolizer_map(self, spec: KnotSpec):
+        """Map Lagrangian basis -> catalogued metabolizers (canonical
+        order), plus the search with its completeness flag."""
+        def compute():
+            mod = self.module(spec)
+            search = mb.catalogued_metabolizers(spec, self.search_bound)
+            mapping = {}
+            for m in search:
+                lag = mb.metabolizer_to_lagrangian(mod, m)
+                mapping.setdefault(lag.basis, []).append(m)
+            return {k: tuple(v) for k, v in mapping.items()}, search
+        return self._once(("metabolizers", spec), compute)
+
+    def chosen_derivative(self, spec: KnotSpec, basis):
+        """(metabolizer, derivative, note) for the Lagrangian with this
+        basis: the first catalogued metabolizer whose derivative is
+        representable, or (None, None, why there is none)."""
+        def compute():
+            note = "no catalogued metabolizer represents this Lagrangian"
+            for m in self.metabolizer_map(spec)[0].get(basis, ()):
+                try:
+                    return m, mb.derivative(spec, m, self.module(spec)), ""
+                except mb.NotRepresentable as exc:
+                    note = str(exc)
+            return None, None, note
+        return self._once(("derivative", spec, basis), compute)
+
+    def infection_desc(self, spec: KnotSpec) -> calculus.InfectionDesc:
+        """Infection description of a catalogued knot: band cores become
+        sites along band meridians; explicit sites pass through."""
+        mod = self.module(spec)
+        sites = []
+        base_terms = []
+        if isinstance(spec.family, _CALCULUS_FAMILIES):
+            for band, core in enumerate(specs.band_cores(spec)):
+                if isinstance(core.family, specs.Unknot):
+                    continue
+                sites.append(calculus.ResolvedSite(
+                    _band_meridian_class(mod, band), core))
+            for s in spec.sites:
+                if s.second_derived:
+                    sites.append(calculus.ResolvedSite(None, s.infect))
+                elif s.band_meridian is not None:
+                    sites.append(calculus.ResolvedSite(
+                        _band_meridian_class(mod, s.band_meridian), s.infect))
+                else:
+                    if len(s.eta_module) != mod.dim:
+                        raise SchemaError(
+                            f"{spec.name}: site coordinates have length "
+                            f"{len(s.eta_module)}, module dimension is "
+                            f"{mod.dim}")
+                    sites.append(calculus.ResolvedSite(tuple(s.eta_module),
+                                                       s.infect))
+            if _slice_base(spec) and mod.is_cyclic:
+                base_terms = [(lag.basis, SigExpr.zero())
+                              for lag in self.lagrangians(mod)]
+        base = specs.KnotSpec(_base_name(spec), specs.Abstract())
+        return calculus.InfectionDesc(base, mod, tuple(base_terms),
+                                      tuple(sites))
+
+    def first_order(self, spec: KnotSpec):
+        """Complete first-order data: one FirstOrderEntry per isotropic
+        submodule, with declared facts substituted."""
+        return self._once(("first_order", spec),
+                          lambda: self._first_order(spec))
+
+    def _first_order(self, spec):
+        mod = self.module(spec)
+        if mod.dim == 0:
+            return [FirstOrderEntry(alexander.zero_submodule(mod),
+                                    SigExpr.zero(), "degenerate")]
+        facts = _fact_values(spec)
+        desc = self.infection_desc(spec) \
+            if isinstance(spec.family, _CALCULUS_FAMILIES) else None
+        out = []
+        for p in self.isotropic(mod):
+            entry = None
+            if desc is not None:
+                try:
+                    expr = calculus.first_order_sig(desc, p)
+                    entry = FirstOrderEntry(p, expr.substitute(facts),
+                                            "calculus")
+                except calculus.MissingBaseFact:
+                    pass
+            if entry is None and 2 * p.dim == mod.dim:
+                entry = self._corollary_entry(spec, p, facts)
+            if entry is None:
+                if p.is_zero:
+                    atom = rho1_atom(_base_name(spec), spec)
+                else:
+                    atom = calculus.Atom(
+                        "rho1", f"fo({spec.name};{lrender(p.order_ideal)})")
+                expr = SigExpr.of_atom(atom)
+                entry = FirstOrderEntry(p, expr.substitute(facts), "opaque")
+            out.append(entry)
+        return out
+
+    def _corollary_entry(self, spec, p, facts):
+        """First-order value through a maximal-nullity derivative: the
+        value equals the derivative's averaged signature."""
+        m, d, _ = self.chosen_derivative(spec, p.basis)
+        if not _is_maximal_nullity(d):
+            return None
+        expr = _derivative_rho0_expr(d).substitute(facts)
+        return FirstOrderEntry(p, expr, "derivative", m, d)
+
+    def lagrangian_entries(self, spec: KnotSpec):
+        """Lagrangian-indexed first-order entries (the Theorem-4.4 test set)."""
+        dim = self.module(spec).dim
+        return [e for e in self.first_order(spec)
+                if 2 * e.submodule.dim == dim]
+
+    def link_first_order(self, link: LinkSpec):
+        """First-order signature expressions of a catalogued link."""
+        return calculus.first_order_sigs_of_supported_link(
+            link, lambda k: [e.expr for e in self.first_order(k)])
+
+    # -- the request's own spec ---------------------------------------------
+
+    @cached_property
+    def zeroth(self) -> Verdict:
+        """Not slice when the averaged signature is certified away from zero."""
+        name = self.spec.name
+        res = self.evaluate(SigExpr.of_atom(rho0_atom(self.spec)))
+        if res.excludes_zero:
+            return Verdict("zeroth", NOT_SLICE,
+                           f"rho0({name}) is certified nonzero in "
+                           f"{res.interval.render()}",
+                           assumptions_used=res.assumptions_used)
+        if res.certified:
+            return Verdict("zeroth", CONSISTENT,
+                           f"rho0({name}) encloses 0 in "
+                           f"{res.interval.render()}",
+                           assumptions_used=res.assumptions_used)
+        return Verdict("zeroth", INCONCLUSIVE,
+                       f"rho0({name}) is not resolvable",
+                       residuals=res.unresolved,
+                       assumptions_used=res.assumptions_used)
+
+    @cached_property
+    def first(self) -> Verdict:
+        """All Lagrangian-indexed first-order signatures certified nonzero
+        means not slice; a missing Lagrangian altogether means the knot is
+        not even algebraically slice."""
+        zeroth = self.zeroth
+        if self.module(self.spec).dim == 0:
+            return Verdict("first", CONSISTENT,
+                           "trivial Alexander polynomial: all first-order "
+                           "signatures are zero by definition")
+        if zeroth.conclusion == NOT_SLICE:
+            return Verdict("first", NOT_SLICE,
+                           f"inherited from zeroth order: {zeroth.witness}",
+                           label=LABEL_FIRST,
+                           assumptions_used=zeroth.assumptions_used)
+        entries = self.lagrangian_entries(self.spec)
+        if not entries:
+            return Verdict("first", NOT_SLICE,
+                           "no Lagrangian exists (the knot is not "
+                           "algebraically slice), so no slice disk can "
+                           "induce one", label=LABEL_FIRST)
+        evals = [(e, self.evaluate(e.expr)) for e in entries]
+        used = tuple(sorted({n for _, r in evals for n in r.assumptions_used}))
+        if all(r.excludes_zero for _, r in evals):
+            detail = "; ".join(
+                f"{e.expr.render()} in {r.interval.render()}" for e, r in evals)
+            return Verdict("first", NOT_SLICE,
+                           "every Lagrangian-indexed first-order signature is "
+                           f"certified nonzero: {detail}",
+                           label=LABEL_FIRST, assumptions_used=used)
+        if any(r.is_exact_zero for _, r in evals):
+            return Verdict("first", CONSISTENT,
+                           "some Lagrangian-indexed first-order signature is "
+                           "exactly zero", assumptions_used=used)
+        residuals = tuple(a for _, r in evals for a in r.unresolved)
+        return Verdict("first", INCONCLUSIVE,
+                       "first-order signatures not certified on either side",
+                       residuals=residuals, assumptions_used=used)
+
+    @cached_property
+    def second_order(self) -> SecondOrderSet:
+        """For each Lagrangian whose first-order signature is not certified
+        nonzero, the first-order set of the chosen catalogued derivative."""
+        spec = self.spec
+        if self.module(spec).dim == 0:
+            return SecondOrderSet((), degenerate=True)
+        facts = _fact_values(spec)
+        entries = []
+        for e in self.lagrangian_entries(spec):
+            if self.evaluate(e.expr).excludes_zero:
+                entries.append(SecondOrderEntry(
+                    e.submodule, e.expr, certified_nonzero=True,
+                    metabolizer=e.metabolizer, derivative=e.derivative))
+                continue
+            m, d, note = self.chosen_derivative(spec, e.submodule.basis)
+            exprs = ()
+            if d is not None:
+                try:
+                    exprs = tuple(x.substitute(facts)
+                                  for x in self.link_first_order(d.link))
+                except (calculus.UnsupportedLink, mb.NotRepresentable) as exc:
+                    note = str(exc)
+            entries.append(SecondOrderEntry(e.submodule, e.expr, metabolizer=m,
+                                            derivative=d, exprs=exprs,
+                                            note=note))
+        return SecondOrderSet(tuple(entries))
+
+    @cached_property
+    def second(self) -> Verdict:
+        first = self.first
+        mod = self.module(self.spec)
+        if mod.dim == 0:
+            return Verdict("second", CONSISTENT,
+                           "trivial Alexander polynomial: all second-order "
+                           "signatures are zero by definition")
+        if first.conclusion == NOT_SLICE:
+            return Verdict("second", NOT_SLICE,
+                           f"inherited from first order: {first.witness}",
+                           label=LABEL_SECOND,
+                           assumptions_used=first.assumptions_used)
+        genus = mod.V.genus
+        active = [e for e in self.second_order.entries
+                  if not e.certified_nonzero]
+        for e in active:
+            if not e.exprs:
+                return Verdict("second", INCONCLUSIVE,
+                               "a candidate Lagrangian has no catalogued "
+                               f"derivative data: {e.note}")
+        evals = [self.evaluate(x) for e in active for x in e.exprs]
+        used = tuple(sorted({n for r in evals for n in r.assumptions_used}))
+        residuals = tuple(a for r in evals for a in r.unresolved)
+        if any(r.is_exact_zero for r in evals):
+            return Verdict("second", CONSISTENT,
+                           "the complete second-order set contains exact zero",
+                           assumptions_used=used)
+        if genus == 1 or all(_derivative_is_infected_trivial(e.derivative)
+                             for e in active):
+            if evals and all(r.excludes_zero for r in evals):
+                return Verdict(
+                    "second", NOT_SLICE,
+                    "the complete set of second-order signatures excludes "
+                    "zero (all derivatives are knots or infected trivial "
+                    "links)", label=LABEL_SECOND, assumptions_used=used)
+        elif all(_is_maximal_nullity(e.derivative) for e in active):
+            # bound form: only valid for maximal-nullity representatives
+            bound = F(genus - 1)
+            if evals and all(r.certified and _beyond(r.interval, bound)
+                             for r in evals):
+                return Verdict(
+                    "second", NOT_SLICE,
+                    "every member of the complete second-order set has "
+                    f"absolute value certified above genus - 1 = {bound}",
+                    label=LABEL_SECOND, assumptions_used=used)
+        if residuals:
+            return Verdict("second", INCONCLUSIVE,
+                           "second-order members left symbolic",
+                           residuals=residuals, assumptions_used=used)
+        return Verdict("second", INCONCLUSIVE,
+                       "second-order members not certified on either side",
+                       assumptions_used=used)
+
+    @cached_property
+    def cooper(self):
+        """|rho0_f(derivative)| <= c - 1 - nullity rows, per chosen
+        derivative (knots reduce to a plain rho0 = 0 requirement)."""
+        spec = self.spec
+        if isinstance(spec, LinkSpec):
+            return [self._cooper_row(spec, _link_rho0_expr(spec))]
+        if self.module(spec).dim == 0:
+            return []
+        facts = _fact_values(spec)
+        rows = []
+        for e in self.lagrangian_entries(spec):
+            d = self.chosen_derivative(spec, e.submodule.basis)[1]
+            if d is not None:
+                rows.append(self._cooper_row(
+                    d.link, _derivative_rho0_expr(d).substitute(facts)))
+        return rows
+
+    def _cooper_row(self, link: LinkSpec, expr: SigExpr) -> CooperRow:
+        c, eta = link.component_count, calculus.nullity(link)
+        res = self.evaluate(expr)
+        iv, bound, status = res.interval, None, "unknown"
+        if eta is not None:
+            bound = F(c - 1 - eta)
+            if res.certified and iv.lo is not None and iv.hi is not None \
+                    and -bound <= iv.lo and iv.hi <= bound:
+                status = "satisfied"
+            elif res.certified and _beyond(iv, bound):
+                status = "violated"
+        return CooperRow(link.name, c, eta, bound, expr, status, iv.render(),
+                         res.assumptions_used)
+
+    def report(self, enumerate_metabolizers: bool = False) -> dict:
+        """Deterministic machine-readable report over all three levels.
+
+        The chosen metabolizer per Lagrangian is the first in canonical
+        order; enumerate_metabolizers additionally lists the alternatives,
+        since the second-order set depends on the choice.
+        """
+        spec = self.spec
+        v = specs.seifert_matrix(spec)
+        doc: dict = {"name": spec.name}
+        if v is None:
+            doc["family"] = "abstract"
+            doc["verdicts"] = {"zeroth": self.zeroth.as_dict()}
+            return doc
+        mod = self.module(spec)
+        doc["family"] = type(spec.family).__name__
+        doc["genus"] = v.genus
+        doc["seifert_matrix"] = [list(r) for r in v.entries]
+        doc["alexander_polynomial"] = lrender(mod.delta)
+        doc["signature_function"] = {
+            "arcs": [[str(lo), str(hi), s]
+                     for lo, hi, s in sf.signature_arcs(v)],
+            "jumps": [[str(p.x_lo), str(p.x_hi), p.multiplicity]
+                      for p in sf.jump_set(v)]}
+        rho = self.rho0(spec)
+        doc["rho0"] = {"mid": str(rho.mid), "rad": str(rho.rad)}
+        metab_map, search = self.metabolizer_map(spec)
+        doc["metabolizers"] = {
+            "complete": search.complete,
+            "items": [[list(b) for b in m.basis] for m in search]}
+        doc["lagrangians"] = []
+        for l in self.lagrangians(mod):
+            entry = {"order_ideal": lrender(l.order_ideal),
+                     "basis": [[str(c) for c in row] for row in l.basis]}
+            if enumerate_metabolizers:
+                entry["metabolizers"] = [[list(b) for b in m.basis]
+                                         for m in metab_map.get(l.basis, ())]
+            doc["lagrangians"].append(entry)
+        doc["first_order"] = [{
+            "submodule_order": lrender(e.submodule.order_ideal),
+            "dim": e.submodule.dim,
+            "lagrangian": 2 * e.submodule.dim == mod.dim,
+            "expr": e.expr.render(), "route": e.route,
+            "eval": _eval_dict(self.evaluate(e.expr))}
+            for e in self.first_order(spec)]
+        so = self.second_order
+        doc["second_order"] = {
+            "degenerate": so.degenerate,
+            "entries": [{
+                "lagrangian_order": lrender(e.lagrangian.order_ideal),
+                "first_order_expr": e.first_order_expr.render(),
+                "excluded": e.certified_nonzero,
+                "metabolizer": None if e.metabolizer is None
+                else [list(b) for b in e.metabolizer.basis],
+                "derivative": None if e.derivative is None else {
+                    "name": e.derivative.link.name,
+                    "structure": e.derivative.link.structure,
+                    "components": [c.name for c in e.derivative.components],
+                    "f_rank": e.derivative.f_rank},
+                "exprs": [x.render() for x in e.exprs],
+                "note": e.note} for e in so.entries]}
+        doc["cooper"] = [r.as_dict() for r in self.cooper]
+        doc["verdicts"] = {"zeroth": self.zeroth.as_dict(),
+                           "first": self.first.as_dict(),
+                           "second": self.second.as_dict()}
+        doc["assumptions"] = {name: vars(self.assumptions.get(name))
+                              for name in self.assumptions.names()}
+        doc["facts"] = _collect_facts(spec)
+        if search.metabolizers:
+            doc["notes"] = [OPEN_CHOICE_NOTE]
+        return doc
+
+
+# ---------------------------------------------------------------------------
+# One call, one request
+# ---------------------------------------------------------------------------
+
+def knot_module(spec: KnotSpec) -> alexander.AlexanderModule:
+    return Request(spec).module(spec)
+
+
+def infection_desc(spec: KnotSpec) -> calculus.InfectionDesc:
+    return Request(spec).infection_desc(spec)
 
 
 def knot_first_order_sigs(spec: KnotSpec):
-    """Complete first-order data: one FirstOrderEntry per isotropic
-    submodule, with declared facts substituted."""
-    mod = knot_module(spec)
-    if mod.dim == 0:
-        return [FirstOrderEntry(alexander.zero_submodule(mod),
-                                SigExpr.zero(), "degenerate")]
-    facts = _fact_values(spec)
-    use_calculus = isinstance(spec.family, _CALCULUS_FAMILIES)
-    desc = infection_desc(spec) if use_calculus else None
-    metab_map, _ = _lagrangian_metabolizers(spec)
-    out = []
-    for p in alexander.isotropic_submodules(mod):
-        entry = None
-        if use_calculus:
-            try:
-                expr = calculus.first_order_sig(desc, p)
-                entry = FirstOrderEntry(p, expr.substitute(facts), "calculus")
-            except calculus.MissingBaseFact:
-                entry = None
-        if entry is None and alexander.is_lagrangian(mod, p):
-            entry = _corollary_entry(spec, p, metab_map, facts)
-        if entry is None:
-            if p.is_zero:
-                expr = SigExpr.of_atom(rho1_atom(_base_name(spec), spec))
-                entry = FirstOrderEntry(p, expr.substitute(facts), "opaque")
-            else:
-                from .laurent import render
-                name = f"fo({spec.name};{render(p.order_ideal)})"
-                expr = SigExpr.of_atom(calculus.Atom("rho1", name))
-                entry = FirstOrderEntry(p, expr.substitute(facts), "opaque")
-        out.append(entry)
-    return out
-
-
-def _corollary_entry(spec, p, metab_map, facts):
-    """First-order value through a maximal-nullity derivative: the value
-    equals the derivative's averaged signature."""
-    for m in metab_map.get(p.basis, ()):
-        try:
-            d = mb.derivative(spec, m)
-        except mb.NotRepresentable:
-            continue
-        eta = calculus.nullity(d.link)
-        c = d.link.component_count
-        if eta is None or eta != c - 1:
-            continue
-        expr = _derivative_rho0_expr(d).substitute(facts)
-        return FirstOrderEntry(p, expr, "derivative", m, d)
-    return None
+    return Request(spec).first_order(spec)
 
 
 def first_order_entries(spec: KnotSpec):
-    """Lagrangian-indexed first-order entries (the Theorem-4.4 test set)."""
-    mod = knot_module(spec)
-    if mod.dim == 0:
-        return [FirstOrderEntry(alexander.zero_submodule(mod),
-                                SigExpr.zero(), "degenerate")]
-    lag_bases = {l.basis for l in alexander.lagrangians(mod)}
-    return [e for e in knot_first_order_sigs(spec)
-            if e.submodule.basis in lag_bases]
+    return Request(spec).lagrangian_entries(spec)
 
 
 def knot_fos_exprs(spec: KnotSpec):
@@ -308,327 +697,43 @@ def knot_fos_exprs(spec: KnotSpec):
 
 
 def link_first_order_sigs(link: LinkSpec):
-    """First-order signature expressions of a catalogued link."""
-    return calculus.first_order_sigs_of_supported_link(link, knot_fos_exprs)
+    return Request(link).link_first_order(link)
 
-
-# ---------------------------------------------------------------------------
-# Verdicts
-# ---------------------------------------------------------------------------
 
 def zeroth_order_verdict(spec: KnotSpec,
                          assumptions: Assumptions | None = None,
-                         target_radius=F(1, 10 ** 9)) -> Verdict:
-    """Not slice when the averaged signature is certified away from zero."""
-    assumptions = _with_facts(spec, assumptions)
-    res = evaluate(SigExpr.of_atom(rho0_atom(spec)), assumptions, target_radius)
-    if res.excludes_zero:
-        return Verdict("zeroth", NOT_SLICE,
-                       f"rho0({spec.name}) is certified nonzero in "
-                       f"{res.interval.render()}",
-                       assumptions_used=res.assumptions_used)
-    if res.certified:
-        return Verdict("zeroth", CONSISTENT,
-                       f"rho0({spec.name}) encloses 0 in {res.interval.render()}",
-                       assumptions_used=res.assumptions_used)
-    return Verdict("zeroth", INCONCLUSIVE,
-                   f"rho0({spec.name}) is not resolvable",
-                   residuals=res.unresolved,
-                   assumptions_used=res.assumptions_used)
-
-
-def _with_facts(spec: KnotSpec, assumptions: Assumptions | None) -> Assumptions:
-    base = Assumptions.from_facts([spec])
-    return base if assumptions is None else base.merged(assumptions)
+                         target_radius=DEFAULT_RADIUS) -> Verdict:
+    return Request(spec, assumptions, target_radius).zeroth
 
 
 def first_order_verdict(spec: KnotSpec,
                         assumptions: Assumptions | None = None) -> Verdict:
-    """All Lagrangian-indexed first-order signatures certified nonzero
-    means not slice; a missing Lagrangian altogether means the knot is
-    not even algebraically slice."""
-    assumptions = _with_facts(spec, assumptions)
-    zeroth = zeroth_order_verdict(spec, assumptions)
-    mod = knot_module(spec)
-    if mod.dim == 0:
-        return Verdict("first", CONSISTENT,
-                       "trivial Alexander polynomial: all first-order "
-                       "signatures are zero by definition")
-    if zeroth.conclusion == NOT_SLICE:
-        return Verdict("first", NOT_SLICE,
-                       f"inherited from zeroth order: {zeroth.witness}",
-                       label=LABEL_FIRST,
-                       assumptions_used=zeroth.assumptions_used)
-    entries = first_order_entries(spec)
-    if not entries:
-        return Verdict("first", NOT_SLICE,
-                       "no Lagrangian exists (the knot is not algebraically "
-                       "slice), so no slice disk can induce one",
-                       label=LABEL_FIRST)
-    evals = [(e, evaluate(e.expr, assumptions)) for e in entries]
-    used = sorted({n for _, r in evals for n in r.assumptions_used})
-    if all(r.excludes_zero for _, r in evals):
-        detail = "; ".join(
-            f"{e.expr.render()} in {r.interval.render()}" for e, r in evals)
-        return Verdict("first", NOT_SLICE,
-                       "every Lagrangian-indexed first-order signature is "
-                       f"certified nonzero: {detail}",
-                       label=LABEL_FIRST, assumptions_used=tuple(used))
-    if any(r.is_exact_zero for _, r in evals):
-        return Verdict("first", CONSISTENT,
-                       "some Lagrangian-indexed first-order signature is "
-                       "exactly zero", assumptions_used=tuple(used))
-    residuals = tuple(a for _, r in evals for a in r.unresolved)
-    return Verdict("first", INCONCLUSIVE,
-                   "first-order signatures not certified on either side",
-                   residuals=residuals, assumptions_used=tuple(used))
-
-
-# ---------------------------------------------------------------------------
-# Second-order sets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SecondOrderEntry:
-    lagrangian: alexander.Submodule = field(compare=False, hash=False)
-    first_order_expr: SigExpr = SigExpr.zero()
-    certified_nonzero: bool = False
-    metabolizer: object = None
-    derivative: object = None
-    exprs: tuple = ()          # first-order set of the derivative
-    note: str = ""
-
-    @property
-    def available(self):
-        return self.certified_nonzero or bool(self.exprs) or \
-            self.note == "degenerate"
-
-
-@dataclass(frozen=True)
-class SecondOrderSet:
-    entries: tuple
-    degenerate: bool = False   # trivial Alexander polynomial
-
-    @property
-    def members(self):
-        out = []
-        for e in self.entries:
-            if not e.certified_nonzero:
-                out.extend(e.exprs)
-        return out
+    return Request(spec, assumptions).first
 
 
 def second_order_set(spec: KnotSpec,
                      assumptions: Assumptions | None = None) -> SecondOrderSet:
-    """For each Lagrangian whose first-order signature is not certified
-    nonzero, the first-order set of a chosen catalogued derivative."""
-    assumptions = _with_facts(spec, assumptions)
-    mod = knot_module(spec)
-    if mod.dim == 0:
-        return SecondOrderSet((), degenerate=True)
-    metab_map, _ = _lagrangian_metabolizers(spec)
-    entries = []
-    for e in first_order_entries(spec):
-        res = evaluate(e.expr, assumptions)
-        if res.excludes_zero:
-            entries.append(SecondOrderEntry(
-                e.submodule, e.expr, certified_nonzero=True,
-                metabolizer=e.metabolizer, derivative=e.derivative))
-            continue
-        ms = metab_map.get(e.submodule.basis, ())
-        entry = None
-        for m in ms:
-            try:
-                d = mb.derivative(spec, m)
-            except mb.NotRepresentable as exc:
-                entry = SecondOrderEntry(e.submodule, e.expr, note=str(exc))
-                continue
-            try:
-                exprs = link_first_order_sigs(d.link)
-            except calculus.UnsupportedLink as exc:
-                entry = SecondOrderEntry(e.submodule, e.expr,
-                                         metabolizer=m, derivative=d,
-                                         note=str(exc))
-                continue
-            except mb.NotRepresentable as exc:
-                entry = SecondOrderEntry(e.submodule, e.expr,
-                                         metabolizer=m, derivative=d,
-                                         note=str(exc))
-                continue
-            facts = _fact_values(spec)
-            exprs = tuple(x.substitute(facts) for x in exprs)
-            entry = SecondOrderEntry(e.submodule, e.expr, metabolizer=m,
-                                     derivative=d, exprs=exprs)
-            break
-        if entry is None:
-            entry = SecondOrderEntry(e.submodule, e.expr,
-                                     note="no catalogued metabolizer "
-                                          "represents this Lagrangian")
-        entries.append(entry)
-    return SecondOrderSet(tuple(entries))
-
-
-def _derivative_is_infected_trivial(d) -> bool:
-    if d is None:
-        return False
-    return d.is_knot or d.link.structure in ("split", "boundary") \
-        or bool(d.link.infections)
+    return Request(spec, assumptions).second_order
 
 
 def second_order_verdict(spec: KnotSpec,
                          assumptions: Assumptions | None = None) -> Verdict:
-    assumptions = _with_facts(spec, assumptions)
-    first = first_order_verdict(spec, assumptions)
-    mod = knot_module(spec)
-    if mod.dim == 0:
-        return Verdict("second", CONSISTENT,
-                       "trivial Alexander polynomial: all second-order "
-                       "signatures are zero by definition")
-    if first.conclusion == NOT_SLICE:
-        return Verdict("second", NOT_SLICE,
-                       f"inherited from first order: {first.witness}",
-                       label=LABEL_SECOND,
-                       assumptions_used=first.assumptions_used)
-    so = second_order_set(spec, assumptions)
-    genus = specs.seifert_matrix(spec).genus
-    used = set()
-    residuals = []
-    active = [e for e in so.entries if not e.certified_nonzero]
-    for e in active:
-        if not e.exprs:
-            return Verdict("second", INCONCLUSIVE,
-                           "a candidate Lagrangian has no catalogued "
-                           f"derivative data: {e.note}")
-    evals = []
-    for e in active:
-        for x in e.exprs:
-            r = evaluate(x, assumptions)
-            used.update(r.assumptions_used)
-            residuals.extend(r.unresolved)
-            evals.append((e, x, r))
-    if any(r.is_exact_zero for _, _, r in evals):
-        return Verdict("second", CONSISTENT,
-                       "the complete second-order set contains exact zero",
-                       assumptions_used=tuple(sorted(used)))
-    all_infected_trivial = all(
-        _derivative_is_infected_trivial(e.derivative) for e in active)
-    all_maximal_nullity = all(
-        e.derivative is not None and
-        calculus.nullity(e.derivative.link) ==
-        e.derivative.link.component_count - 1 for e in active)
-    if genus == 1 or all_infected_trivial:
-        if evals and all(r.excludes_zero for _, _, r in evals):
-            return Verdict(
-                "second", NOT_SLICE,
-                "the complete set of second-order signatures excludes zero "
-                "(all derivatives are knots or infected trivial links)",
-                label=LABEL_SECOND, assumptions_used=tuple(sorted(used)))
-    elif all_maximal_nullity:
-        # bound form: only valid for maximal-nullity representatives
-        bound = F(genus - 1)
-
-        def beats_bound(r):
-            iv = r.interval
-            if not r.certified:
-                return False
-            return (iv.lo is not None and iv.lo > bound) or \
-                   (iv.hi is not None and iv.hi < -bound)
-
-        if evals and all(beats_bound(r) for _, _, r in evals):
-            return Verdict(
-                "second", NOT_SLICE,
-                "every member of the complete second-order set has absolute "
-                f"value certified above genus - 1 = {bound}",
-                label=LABEL_SECOND, assumptions_used=tuple(sorted(used)))
-    if residuals:
-        return Verdict("second", INCONCLUSIVE,
-                       "second-order members left symbolic",
-                       residuals=tuple(residuals),
-                       assumptions_used=tuple(sorted(used)))
-    return Verdict("second", INCONCLUSIVE,
-                   "second-order members not certified on either side",
-                   assumptions_used=tuple(sorted(used)))
-
-
-# ---------------------------------------------------------------------------
-# Cooper bound checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CooperRow:
-    subject: str
-    components: int
-    nullity: int | None
-    bound: Fraction | None
-    expr: SigExpr
-    status: str        # satisfied | violated | unknown
-    interval: str
-    assumptions_used: tuple = ()
-
-    def as_dict(self):
-        return {"subject": self.subject, "components": self.components,
-                "nullity": self.nullity,
-                "bound": None if self.bound is None else str(self.bound),
-                "value": self.expr.render(), "status": self.status,
-                "interval": self.interval,
-                "assumptions_used": list(self.assumptions_used),
-                "label": LABEL_FIRST}
-
-
-def _cooper_row(subject, c, eta, expr, assumptions) -> CooperRow:
-    res = evaluate(expr, assumptions)
-    if eta is None:
-        return CooperRow(subject, c, None, None, expr, "unknown",
-                         res.interval.render(), res.assumptions_used)
-    bound = F(c - 1 - eta)
-    iv = res.interval
-    if res.certified and iv.lo is not None and iv.hi is not None \
-            and -bound <= iv.lo and iv.hi <= bound:
-        status = "satisfied"
-    elif res.certified and (
-            (iv.lo is not None and iv.lo > bound) or
-            (iv.hi is not None and iv.hi < -bound)):
-        status = "violated"
-    else:
-        status = "unknown"
-    return CooperRow(subject, c, eta, bound, expr, status,
-                     iv.render(), res.assumptions_used)
+    return Request(spec, assumptions).second
 
 
 def cooper_check(spec_or_link, assumptions: Assumptions | None = None):
-    """|rho0_f(derivative)| <= c - 1 - nullity rows, per catalogued
-    derivative (knots reduce to a plain rho0 = 0 requirement)."""
-    if isinstance(spec_or_link, LinkSpec):
-        link = spec_or_link
-        assumptions = assumptions or Assumptions()
-        expr = calculus.declared_rho0(link)
-        if expr is None:
-            expr = calculus.rho0_of_infected_trivial_link(link)
-        return [_cooper_row(link.name, link.component_count,
-                            calculus.nullity(link), expr, assumptions)]
-    spec = spec_or_link
-    assumptions = _with_facts(spec, assumptions)
-    mod = knot_module(spec)
-    rows = []
-    if mod.dim == 0:
-        return rows
-    metab_map, _ = _lagrangian_metabolizers(spec)
-    for e in first_order_entries(spec):
-        for m in metab_map.get(e.submodule.basis, ()):
-            try:
-                d = mb.derivative(spec, m)
-            except mb.NotRepresentable:
-                continue
-            expr = _derivative_rho0_expr(d).substitute(_fact_values(spec))
-            rows.append(_cooper_row(
-                d.link.name, d.link.component_count,
-                calculus.nullity(d.link), expr, assumptions))
-            break
-    return rows
+    return Request(spec_or_link, assumptions).cooper
+
+
+def report(spec: KnotSpec, assumptions: Assumptions | None = None,
+           target_radius=DEFAULT_RADIUS,
+           enumerate_metabolizers: bool = False) -> dict:
+    return Request(spec, assumptions, target_radius).report(
+        enumerate_metabolizers)
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Rendering
 # ---------------------------------------------------------------------------
 
 def _eval_dict(res: EvalResult):
@@ -637,87 +742,6 @@ def _eval_dict(res: EvalResult):
             "excludes_zero": res.excludes_zero,
             "exact_zero": res.is_exact_zero,
             "unresolved": [a.name for a in res.unresolved]}
-
-
-def report(spec: KnotSpec, assumptions: Assumptions | None = None,
-           target_radius=F(1, 10 ** 9),
-           enumerate_metabolizers: bool = False) -> dict:
-    """Deterministic machine-readable report over all three levels.
-
-    The chosen metabolizer per Lagrangian is the first in canonical
-    order; enumerate_metabolizers additionally lists the alternatives,
-    since the second-order set depends on the choice.
-    """
-    from .laurent import render as lrender
-
-    assumptions = _with_facts(spec, assumptions)
-    v = specs.seifert_matrix(spec)
-    doc: dict = {"name": spec.name}
-    if v is None:
-        doc["family"] = "abstract"
-        doc["verdicts"] = {
-            "zeroth": zeroth_order_verdict(spec, assumptions).as_dict()}
-        return doc
-    mod = knot_module(spec)
-    doc["family"] = type(spec.family).__name__
-    doc["genus"] = v.genus
-    doc["seifert_matrix"] = [list(r) for r in v.entries]
-    doc["alexander_polynomial"] = lrender(mod.delta)
-    doc["signature_function"] = {
-        "arcs": [[str(lo), str(hi), s] for lo, hi, s in sf.signature_arcs(v)],
-        "jumps": [[str(p.x_lo), str(p.x_hi), p.multiplicity]
-                  for p in sf.jump_set(v)]}
-    rho = sf.rho0(v, target_radius)
-    doc["rho0"] = {"mid": str(rho.mid), "rad": str(rho.rad)}
-    metab_map, search = _lagrangian_metabolizers(spec)
-    doc["metabolizers"] = {
-        "complete": search.complete,
-        "items": [[list(b) for b in m.basis] for m in search]}
-    lags = alexander.lagrangians(mod) if mod.dim else []
-    doc["lagrangians"] = []
-    for l in lags:
-        entry = {"order_ideal": lrender(l.order_ideal),
-                 "basis": [[str(c) for c in row] for row in l.basis]}
-        if enumerate_metabolizers:
-            entry["metabolizers"] = [[list(b) for b in m.basis]
-                                     for m in metab_map.get(l.basis, ())]
-        doc["lagrangians"].append(entry)
-    doc["first_order"] = []
-    for e in knot_first_order_sigs(spec):
-        res = evaluate(e.expr, assumptions)
-        doc["first_order"].append({
-            "submodule_order": lrender(e.submodule.order_ideal),
-            "dim": e.submodule.dim,
-            "lagrangian": 2 * e.submodule.dim == mod.dim,
-            "expr": e.expr.render(), "route": e.route,
-            "eval": _eval_dict(res)})
-    so = second_order_set(spec, assumptions)
-    doc["second_order"] = {
-        "degenerate": so.degenerate,
-        "entries": [{
-            "lagrangian_order": lrender(e.lagrangian.order_ideal),
-            "first_order_expr": e.first_order_expr.render(),
-            "excluded": e.certified_nonzero,
-            "metabolizer": None if e.metabolizer is None
-            else [list(b) for b in e.metabolizer.basis],
-            "derivative": None if e.derivative is None else {
-                "name": e.derivative.link.name,
-                "structure": e.derivative.link.structure,
-                "components": [c.name for c in e.derivative.components],
-                "f_rank": e.derivative.f_rank},
-            "exprs": [x.render() for x in e.exprs],
-            "note": e.note} for e in so.entries]}
-    doc["cooper"] = [r.as_dict() for r in cooper_check(spec, assumptions)]
-    doc["verdicts"] = {
-        "zeroth": zeroth_order_verdict(spec, assumptions).as_dict(),
-        "first": first_order_verdict(spec, assumptions).as_dict(),
-        "second": second_order_verdict(spec, assumptions).as_dict()}
-    doc["assumptions"] = {name: vars(assumptions.get(name))
-                          for name in assumptions.names()}
-    doc["facts"] = _collect_facts(spec)
-    if search.metabolizers:
-        doc["notes"] = [OPEN_CHOICE_NOTE]
-    return doc
 
 
 def _collect_facts(spec: KnotSpec):
@@ -733,7 +757,11 @@ def report_json(spec, assumptions=None, **kw) -> str:
 
 
 def report_text(spec, assumptions=None, **kw) -> str:
-    doc = report(spec, assumptions, **kw)
+    return render_report(report(spec, assumptions, **kw))
+
+
+def render_report(doc) -> str:
+    """Text rendering of a report document."""
     lines = [f"knot: {doc['name']}"]
     if "alexander_polynomial" in doc:
         lines.append(f"alexander polynomial: {doc['alexander_polynomial']}")
@@ -744,6 +772,8 @@ def report_text(spec, assumptions=None, **kw) -> str:
         lines.append("lagrangians:")
         for l in doc["lagrangians"]:
             lines.append(f"  order {l['order_ideal']}")
+            for m in l.get("metabolizers", ()):
+                lines.append(f"    metabolizer {m}")
         lines.append("first-order signatures:")
         for e in doc["first_order"]:
             tag = "L" if e["lagrangian"] else " "

@@ -289,6 +289,17 @@ def test_report_text_renders():
     assert "(1.5)-solvability" in text
 
 
+def test_report_text_enumerates_metabolizers(tmp_path, capsys):
+    assert "metabolizer [[" not in pipeline.report_text(_twist(2))
+    text = pipeline.report_text(_twist(2), enumerate_metabolizers=True)
+    assert "  order 2*t - 1\n    metabolizer [[1, 2]]\n" in text
+    spec_path = tmp_path / "k.json"
+    spec_path.write_text(json.dumps(
+        {"name": "twist(2)", "family": {"type": "twist", "tw": 2}}))
+    assert cli.main(["--enumerate-metabolizers", "report", str(spec_path)]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     spec_path = tmp_path / "k.json"
     spec_path.write_text(json.dumps(
