@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 F = Fraction
 
@@ -97,21 +97,30 @@ def _atan_series(y: Fraction, bits: int):
     """Enclosure of atan(y) for |y| <= 1/2 via the alternating series.
 
     Term magnitudes decrease strictly, so the limit is bracketed by any
-    two consecutive partial sums.
+    two consecutive partial sums.  With y = a/b the k-th partial sum is
+    kept as an integer over b^(2k+1) lcm(1, 3, ..., 2k+1), and the stop
+    test |y|^(2k+1) / (2k+1) <= 2^-(bits+2) is an integer comparison, so
+    the two Fractions are built (and reduced) once, at the end.
     """
     y = F(y)
-    target = F(1, 1 << (bits + 2))
-    term = y
-    acc = F(0)
+    a, b = y.numerator, y.denominator
+    a2, b2 = a * a, b * b
+    limit = 1 << (bits + 2)
+    num, den, lcm = 0, 1, 1          # acc = num / den, den = b^(2k-1) lcm
+    apow, bpow = a, b                # a^(2k+1), b^(2k+1)
     k = 0
-    y2 = y * y
     while True:
-        nxt = acc + term / (2 * k + 1)
-        if abs(term) / (2 * k + 1) <= target:
-            lo, hi = sorted((acc, nxt))
+        m = 2 * k + 1
+        nlcm = lcm * m // gcd(lcm, m)
+        term = apow * (nlcm // m) * (-1 if k % 2 else 1)
+        nxt = num * (b2 if k else b) * (nlcm // lcm) + term
+        nden = bpow * nlcm
+        if abs(apow) * limit <= bpow * m:
+            lo, hi = sorted((F(num, den), F(nxt, nden)))
             return lo, hi
-        acc = nxt
-        term = -term * y2
+        num, den, lcm = nxt, nden, nlcm
+        apow *= a2
+        bpow *= b2
         k += 1
 
 

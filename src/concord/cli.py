@@ -89,6 +89,9 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command != "sigfn":
             raise specs.SchemaError("--format csv applies to sigfn only")
         radius = _radius(args.precision)
+        if args.search_bound < 0:
+            raise specs.SchemaError("--search-bound must be a non-negative "
+                                    f"integer, got {args.search_bound}")
         spec = _load_spec(args.spec)
         assumptions = None
         if args.assume:

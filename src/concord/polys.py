@@ -4,7 +4,8 @@ A polynomial is a list of Fractions, index = degree, with no trailing
 zeros; the zero polynomial is the empty list.  This module carries the
 shared exact kernel: arithmetic, Euclidean division, gcd, content,
 squarefree decomposition, Sturm chains, real root isolation and the
-fraction-free elimination of polynomial matrices.
+fraction-free elimination of integer polynomial matrices, which runs on
+integer coefficient lists over Z[x].
 """
 
 from __future__ import annotations
@@ -263,20 +264,61 @@ def refine_root(p, lo, hi, width):
     return lo, hi
 
 
-def bareiss(mat, rhs=None):
-    """Fraction-free (Bareiss, 1968) elimination of a square matrix over Q[x].
+def _zmul(p, q):
+    """Product in Z[x]."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return trim(out)
 
-    Every division is exact: after step k each entry is a minor of order
-    k + 1.  Returns (d, x) with d = det(mat).  Given right-hand columns
-    rhs (one list of polynomials per row), the pass also clears above each
+
+def _zexact_div(a, b):
+    """a / b in Z[x]; raises unless b divides a there."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(a) - len(b), -1, -1):
+        c, r = divmod(a[k + db], lb)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            q[k] = c
+            for i, bi in enumerate(b):
+                a[k + i] -= c * bi
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return trim(q)
+
+
+def _zpoly(p):
+    """The coefficients of p as ints; p must have integer coefficients."""
+    out = [int(c) for c in p]
+    if out != list(p):
+        raise ValueError("bareiss needs integer coefficients")
+    return out
+
+
+def bareiss(mat, rhs=None):
+    """Fraction-free (Bareiss, 1968) elimination of a square matrix over Z[x].
+
+    Entries are polynomials with integer coefficients (ints or integral
+    Fractions); the elimination runs on integer coefficient lists and
+    every division is an exact division in Z[x], checked: after step k
+    each entry is a minor of order k + 1.  Returns (d, x) with
+    d = det(mat), as Fraction polynomials.  Given right-hand columns rhs
+    (one list of polynomials per row), the pass also clears above each
     pivot and x = d * mat^-1 * rhs; otherwise it clears below only, which
     is all the determinant needs, and x is None.
     """
     n = len(mat)
-    a = [[list(e) for e in row] + [list(e) for e in (rhs[i] if rhs else ())]
+    a = [[_zpoly(e) for e in (*row, *(rhs[i] if rhs else ()))]
          for i, row in enumerate(mat)]
     width = len(a[0]) if a else 0
-    sign, prev, pivot = 1, [F(1)], [F(1)]
+    sign, prev, pivot = 1, [1], [1]
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
@@ -290,11 +332,15 @@ def bareiss(mat, rhs=None):
                 continue
             row, f = a[i], a[i][k]
             for j in range(k + 1, width):
-                row[j] = exact_div(sub(mul(row[j], pivot), mul(f, top[j])), prev)
+                row[j] = _zexact_div(
+                    sub(_zmul(row[j], pivot), _zmul(f, top[j])), prev)
             row[k] = []
         prev = pivot
-    det = pivot if sign > 0 else neg(pivot)
+
+    def out(p):
+        return [F(sign * c) for c in p]
+
     if not rhs:
-        return det, None
+        return out(pivot), None
     # the left block is now pivot * I, so the right block is pivot * mat^-1 rhs
-    return det, [[e if sign > 0 else neg(e) for e in row[n:]] for row in a]
+    return out(pivot), [[out(e) for e in row[n:]] for row in a]

@@ -1,9 +1,10 @@
 """Seifert matrices, family constructors and the exact signature engine.
 
 The unit circle is parametrized by a rational Cayley parameter
-s -> (1 + is)/(1 - is), which keeps every Hermitian matrix we meet
-inside the Gaussian rationals: signatures come out of exact
-characteristic-polynomial sign counts, never from floating point.
+s -> (1 + is)/(1 - is); once positive scalars are cleared every Hermitian
+matrix we meet has Gaussian-integer entries, and its signature is the
+inertia read off an exact fraction-free congruence elimination, never
+from floating point.
 The averaged signature (rho0) is a certified step-function integral:
 jump locations are Sturm-isolated roots of the symmetrized Alexander
 polynomial in x = t + 1/t, arc lengths are certified arccos enclosures.
@@ -237,58 +238,60 @@ OMEGA_ONE = UnitCirclePoint.from_cayley(0)
 OMEGA_MINUS_ONE = UnitCirclePoint.minus_one()
 
 
-def _qi_charpoly(mat):
-    """Characteristic polynomial of a Gaussian-rational matrix by
-    Faddeev-LeVerrier; returns rational coefficients ascending.
+def _inertia_signature(re, im):
+    """Signature of the Hermitian Gaussian-integer matrix re + i*im by
+    fraction-free congruence elimination; re and im are consumed.
 
-    For Hermitian input the coefficients are real; asserted exactly.
+    A step pivots on a nonzero real diagonal entry p, moved into place by
+    a symmetric swap, and replaces the trailing block by
+    (p a_ij - a_ik a_kj) / prev: a Bareiss step, so every entry is a minor
+    of the congruent matrix and the division by the previous pivot is
+    exact.  Pivots d_k are leading principal minors; each adds
+    sign(d_k d_{k-1}) (Jacobi).  If the remaining diagonal vanishes but
+    some a_ji does not, adding c * row/column j to row/column i with c in
+    {1, i} makes the diagonal entry 2 Re(c a_ji) nonzero.  A zero block
+    ends the elimination: its rank is lost, its inertia is nil.
     """
-    n = len(mat)
-    if n == 0:
-        return [F(1)]
-    ident = [[(F(1), F(0)) if i == j else (F(0), F(0)) for j in range(n)]
-             for i in range(n)]
-    m = [row[:] for row in ident]
-    cs = [F(1)]  # c_0 for lambda^n
-    for k in range(1, n + 1):
-        # am = mat @ m
-        am = [[(F(0), F(0))] * n for _ in range(n)]
-        for i in range(n):
-            for l in range(n):
-                a_re, a_im = mat[i][l]
-                if a_re == 0 and a_im == 0:
-                    continue
-                row_m = m[l]
-                row_out = am[i]
-                for jj in range(n):
-                    b_re, b_im = row_m[jj]
-                    if b_re == 0 and b_im == 0:
-                        continue
-                    o_re, o_im = row_out[jj]
-                    row_out[jj] = (o_re + a_re * b_re - a_im * b_im,
-                                   o_im + a_re * b_im + a_im * b_re)
-        tr_re = sum(am[i][i][0] for i in range(n))
-        tr_im = sum(am[i][i][1] for i in range(n))
-        if tr_im != 0:
-            raise ArithmeticError("non-Hermitian input: complex trace")
-        ck = -tr_re / k
-        cs.append(ck)
-        m = [[(am[i][jj][0] + (ck if i == jj else 0), am[i][jj][1])
-              for jj in range(n)] for i in range(n)]
-    # p(lambda) = lambda^n + c_1 lambda^(n-1) + ... + c_n, ascending:
-    return list(reversed(cs))
-
-
-def _signature_from_charpoly(coeffs):
-    """Signature of a Hermitian matrix from its characteristic polynomial.
-
-    All roots are real, so Descartes' sign-variation count is exact for
-    the positive and negative root counts (with multiplicity).
-    """
-    pos = polys.sign_variations(coeffs)
-    neg = polys.sign_variations(
-        [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
-    return pos - neg
+    n = len(re)
+    sig, prev = 0, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if re[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(k, n)
+                         if re[i][j] or im[i][j]), None)
+            if pair is None:
+                break
+            piv, j = pair
+            # c = 1 if Re(a_ji) != 0, else c = i; a_ii' = 2 Re(c a_ji)
+            cr, ci = (1, 0) if re[j][piv] else (0, 1)
+            rp, ip, rj, ij = re[piv], im[piv], re[j], im[j]
+            for m in range(k, n):                   # row piv += c row j
+                rp[m], ip[m] = (rp[m] + cr * rj[m] - ci * ij[m],
+                                ip[m] + cr * ij[m] + ci * rj[m])
+            for rm, imm in zip(re[k:], im[k:]):     # col piv += conj(c) col j
+                rm[piv], imm[piv] = (rm[piv] + cr * rm[j] + ci * imm[j],
+                                     imm[piv] + cr * imm[j] - ci * rm[j])
+        if piv != k:
+            for mat in (re, im):
+                mat[k], mat[piv] = mat[piv], mat[k]
+                for row in mat:
+                    row[k], row[piv] = row[piv], row[k]
+        p = re[k][k]
+        rk, ik = re[k], im[k]
+        for i in range(k + 1, n):
+            ri, ii = re[i], im[i]
+            bre, bim = ri[k], ii[k]                 # a_ik
+            for j in range(i, n):
+                cre, cim = rk[j], ik[j]             # a_kj
+                qre, xre = divmod(p * ri[j] - (bre * cre - bim * cim), prev)
+                qim, xim = divmod(p * ii[j] - (bre * cim + bim * cre), prev)
+                if xre or xim:
+                    raise ArithmeticError("inexact congruence elimination")
+                ri[j], ii[j] = qre, qim
+                re[j][i], im[j][i] = qre, -qim
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        prev = p
+    return sig
 
 
 def lt_signature(v: SeifertMatrix, omega: UnitCirclePoint) -> int:
@@ -298,16 +301,18 @@ def lt_signature(v: SeifertMatrix, omega: UnitCirclePoint) -> int:
         return 0
     e = v.entries
     if omega.is_minus_one:
-        mat = [[(F(e[a][b] + e[b][a]), F(0)) for b in range(n)]
-               for a in range(n)]
-        return _signature_from_charpoly(_qi_charpoly(mat))
+        return _inertia_signature(
+            [[e[a][b] + e[b][a] for b in range(n)] for a in range(n)],
+            [[0] * n for _ in range(n)])
     s = omega.cayley
     if s == 0:
         return 0
-    # (1+s^2) H = 2s [ s(V + V^T) + i (V^T - V) ]; positive scalars drop out
-    mat = [[(s * (e[a][b] + e[b][a]), F(e[b][a] - e[a][b]))
-            for b in range(n)] for a in range(n)]
-    sig = _signature_from_charpoly(_qi_charpoly(mat))
+    # (1+s^2) H = (2s/q) [ p(V + V^T) + i q(V^T - V) ] for s = p/q, q > 0;
+    # positive scalars drop out
+    p, q = s.numerator, s.denominator
+    sig = _inertia_signature(
+        [[p * (e[a][b] + e[b][a]) for b in range(n)] for a in range(n)],
+        [[q * (e[b][a] - e[a][b]) for b in range(n)] for a in range(n)])
     return sig if s > 0 else -sig
 
 
@@ -359,49 +364,74 @@ def symmetrized_x_poly(v: SeifertMatrix):
     return polys.trim(g)
 
 
-def _isolated_x_roots(v: SeifertMatrix, width: Fraction):
-    """Roots of the symmetrized polynomial in [-2, 2), isolated and
-    refined below the requested width.  Returns list of JumpPoint asc."""
+def _x_roots(v: SeifertMatrix):
+    """The precision-independent part of root isolation.
+
+    Returns (sqf, boundary_mult, roots): sqf is the squarefree part of
+    the symmetrized polynomial once its exact roots at x = -2 (of
+    multiplicity boundary_mult) are divided out, and roots holds one
+    (lo, hi, multiplicity) isolating each root of sqf in (-2, 2),
+    ascending.
+    """
     g = symmetrized_x_poly(v)
     if polys.deg(g) <= 0:
-        return []
-    points = []
+        return [], 0, []
     # x = -2 (omega = -1) can be an exact boundary root
     boundary_mult = 0
     while polys.evaluate(g, F(-2)) == 0:
         g = polys.exact_div(g, [F(2), F(1)])
         boundary_mult += 1
-    if boundary_mult:
-        points.append(JumpPoint(F(-2), F(-2), boundary_mult))
     if polys.evaluate(g, F(2)) == 0:
         raise ArithmeticError("x = 2 root contradicts Delta(1) != 0")
     sqf = polys.squarefree_part(g)
-    if polys.deg(sqf) >= 1:
-        pieces = polys.yun(g)
-        intervals = [polys.refine_root(sqf, lo, hi, width)
-                     for lo, hi in polys.isolate_real_roots(sqf, F(-2), F(2))]
-        intervals = _separate(sqf, intervals, width)
-        for lo, hi in intervals:
-            mult = None
-            for piece, m in pieces:
-                if lo == hi:
-                    if polys.evaluate(piece, lo) == 0:
-                        mult = m
-                        break
-                elif polys.evaluate(piece, lo) * polys.evaluate(piece, hi) < 0:
+    if polys.deg(sqf) < 1:
+        return sqf, boundary_mult, []
+    pieces = polys.yun(g)
+    roots = []
+    for lo, hi in polys.isolate_real_roots(sqf, F(-2), F(2)):
+        mult = None
+        for piece, m in pieces:
+            if lo == hi:
+                if polys.evaluate(piece, lo) == 0:
                     mult = m
                     break
-            if mult is None:
-                raise ArithmeticError("failed to attribute root multiplicity")
-            points.append(JumpPoint(lo, hi, mult))
-    points.sort(key=lambda p: (p.x_lo, p.x_hi))
+            elif polys.evaluate(piece, lo) * polys.evaluate(piece, hi) < 0:
+                mult = m
+                break
+        if mult is None:
+            raise ArithmeticError("failed to attribute root multiplicity")
+        roots.append((lo, hi, mult))
+    return sqf, boundary_mult, roots
+
+
+def _refine(sqf, roots, width):
+    """Each (lo, hi, multiplicity) bisected below width.  Bisection
+    intervals are nested, so refining an earlier result further gives
+    the interval that refining from scratch gives."""
+    return [polys.refine_root(sqf, lo, hi, width) + (m,)
+            for lo, hi, m in roots]
+
+
+def _interior_points(sqf, roots, width):
+    """JumpPoints, x ascending, of refined roots once separated."""
+    intervals = _separate(sqf, [r[:2] for r in roots], width)
+    return [JumpPoint(lo, hi, r[2]) for (lo, hi), r in zip(intervals, roots)]
+
+
+def _isolated_x_roots(v: SeifertMatrix, width: Fraction):
+    """Roots of the symmetrized polynomial in [-2, 2), isolated and
+    refined below the requested width.  Returns list of JumpPoint asc."""
+    sqf, boundary_mult, roots = _x_roots(v)
+    points = _interior_points(sqf, _refine(sqf, roots, width), width)
+    if boundary_mult:
+        points.insert(0, JumpPoint(F(-2), F(-2), boundary_mult))
     return points
 
 
 def _separate(sqf, intervals, width):
     """Refine until intervals are pairwise strictly separated and stay
-    strictly inside (-2, 2), so every open arc between them is sampleable."""
-    intervals = sorted(intervals)
+    strictly inside (-2, 2), so every open arc between them is sampleable.
+    The intervals come in ascending and keep their order."""
     w = width
     for _ in range(200):
         bad = set()
@@ -482,18 +512,26 @@ def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> CertifiedReal:
 
     The integrand is a step function; by conjugation symmetry the average
     equals (1/pi) * integral over [0, pi].  With no interior jumps the
-    value is exactly 0.
+    value is exactly 0.  Delta, its isolated roots and the arc signatures
+    do not depend on the precision and are computed once; each round of
+    the precision loop refines the roots further and recomputes only the
+    arccos enclosures.
     """
     target_radius = F(target_radius)
     if target_radius <= 0:
         raise ValueError("target_radius must be positive")
     if v.size == 0:
         return CertifiedReal.exact(0)
+    sqf, _, roots = _x_roots(v)
     width = F(1, 1 << 34)
     bits = 48
+    sigmas = None
     for _ in range(20):
-        roots = _isolated_x_roots(v, width)
-        sigmas, desc = _arc_signatures(v, roots)
+        roots = _refine(sqf, roots, width)
+        points = _interior_points(sqf, roots, width)
+        if sigmas is None:
+            sigmas, _ = _arc_signatures(v, points)
+        desc = points[::-1]
         if not desc:
             return CertifiedReal.exact(0)
         lo_acc, hi_acc = F(0), F(0)

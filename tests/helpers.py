@@ -204,6 +204,113 @@ def oracle_lt_signature(v, s):
     raise ArithmeticError("oracle failed to certify eigenvalues")
 
 
+def qi_charpoly(mat):
+    """Characteristic polynomial of a Gaussian-rational matrix (rows of
+    (re, im) pairs) by Faddeev-LeVerrier; rational coefficients ascending.
+
+    For Hermitian input the coefficients are real; asserted exactly.
+    The O(n^4) signature engine congruence inertia replaced.
+    """
+    n = len(mat)
+    if n == 0:
+        return [F(1)]
+    m = [[(F(1), F(0)) if i == j else (F(0), F(0)) for j in range(n)]
+         for i in range(n)]
+    cs = [F(1)]  # c_0 for lambda^n
+    for k in range(1, n + 1):
+        am = [[(F(0), F(0))] * n for _ in range(n)]
+        for i in range(n):
+            for l in range(n):
+                a_re, a_im = mat[i][l]
+                if a_re == 0 and a_im == 0:
+                    continue
+                row_m = m[l]
+                row_out = am[i]
+                for jj in range(n):
+                    b_re, b_im = row_m[jj]
+                    if b_re == 0 and b_im == 0:
+                        continue
+                    o_re, o_im = row_out[jj]
+                    row_out[jj] = (o_re + a_re * b_re - a_im * b_im,
+                                   o_im + a_re * b_im + a_im * b_re)
+        tr_re = sum(am[i][i][0] for i in range(n))
+        tr_im = sum(am[i][i][1] for i in range(n))
+        if tr_im != 0:
+            raise ArithmeticError("non-Hermitian input: complex trace")
+        ck = -tr_re / k
+        cs.append(ck)
+        m = [[(am[i][jj][0] + (ck if i == jj else 0), am[i][jj][1])
+              for jj in range(n)] for i in range(n)]
+    # p(lambda) = lambda^n + c_1 lambda^(n-1) + ... + c_n, ascending:
+    return list(reversed(cs))
+
+
+def charpoly_signature(coeffs):
+    """Signature of a Hermitian matrix from its characteristic polynomial.
+
+    All roots are real, so Descartes' sign-variation count is exact for
+    the positive and negative root counts (with multiplicity).
+    """
+    pos = polys.sign_variations(coeffs)
+    neg = polys.sign_variations(
+        [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
+    return pos - neg
+
+
+def bareiss_q(mat, rhs=None):
+    """Bareiss elimination over Q[x] with the rational polynomial kernel:
+    the engine the Z[x] elimination replaced.  Same contract as
+    polys.bareiss."""
+    n = len(mat)
+    a = [[list(e) for e in row] + [list(e) for e in (rhs[i] if rhs else ())]
+         for i, row in enumerate(mat)]
+    width = len(a[0]) if a else 0
+    sign, prev, pivot = 1, [F(1)], [F(1)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return [], None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot, top = a[k][k], a[k]
+        for i in (range(n) if rhs else range(k + 1, n)):
+            if i == k:
+                continue
+            row, f = a[i], a[i][k]
+            for j in range(k + 1, width):
+                row[j] = polys.exact_div(
+                    polys.sub(polys.mul(row[j], pivot), polys.mul(f, top[j])),
+                    prev)
+            row[k] = []
+        prev = pivot
+    det = pivot if sign > 0 else polys.neg(pivot)
+    if not rhs:
+        return det, None
+    return det, [[e if sign > 0 else polys.neg(e) for e in row[n:]]
+                 for row in a]
+
+
+def atan_series_q(y, bits):
+    """Partial sums of the atan series accumulated in Fractions: the
+    engine the integer accumulation replaced.  Same contract as
+    certified._atan_series."""
+    y = F(y)
+    target = F(1, 1 << (bits + 2))
+    term = y
+    acc = F(0)
+    k = 0
+    y2 = y * y
+    while True:
+        nxt = acc + term / (2 * k + 1)
+        if abs(term) / (2 * k + 1) <= target:
+            lo, hi = sorted((acc, nxt))
+            return lo, hi
+        acc = nxt
+        term = -term * y2
+        k += 1
+
+
 def resultant(p, q):
     """Resultant via Gaussian elimination on the Sylvester matrix."""
     m, n = polys.deg(p), polys.deg(q)

@@ -9,10 +9,10 @@ from concord.alexander import (NotCyclic, UnsupportedModule, is_isotropic,
                                proper_submodules, submodule_from_vectors,
                                submodules_cyclic, zero_submodule)
 from concord.laurent import LaurentPoly, normalize, render
-from concord.seifert import (_qi_charpoly, connected_sum, genus_one,
-                             stabilize, torus_knot, twist_knot, unknot)
+from concord.seifert import (connected_sum, genus_one, stabilize, torus_knot,
+                             twist_knot, unknot)
 
-from helpers import oracle_blanchfield, random_seifert
+from helpers import oracle_blanchfield, qi_charpoly, random_seifert
 
 F = Fraction
 
@@ -31,7 +31,7 @@ def test_present_twist_two():
     # characteristic polynomial of the t-action matches Delta up to units
     n = mod.dim
     mat = [[(mod.T[i][j], F(0)) for j in range(n)] for i in range(n)]
-    cp = _qi_charpoly(mat)
+    cp = qi_charpoly(mat)
     assert normalize(LaurentPoly.from_dense(cp)) == mod.delta
     # t-action is invertible: no zero root
     assert cp[0] != 0

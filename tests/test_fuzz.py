@@ -6,10 +6,10 @@ from fractions import Fraction
 
 from concord import alexander, metabolizers as mb, pipeline, specs
 from concord.laurent import LaurentPoly, normalize
-from concord.seifert import (UnitCirclePoint, _qi_charpoly, alexander_poly,
-                             lt_signature, rho0)
+from concord.seifert import (UnitCirclePoint, alexander_poly, lt_signature,
+                             rho0)
 
-from helpers import random_metabolic, random_seifert
+from helpers import qi_charpoly, random_metabolic, random_seifert
 
 F = Fraction
 
@@ -24,7 +24,7 @@ def test_presentation_invariants_random():
         if mod.dim:
             mat = [[(mod.T[i][j], F(0)) for j in range(mod.dim)]
                    for i in range(mod.dim)]
-            cp = _qi_charpoly(mat)
+            cp = qi_charpoly(mat)
             assert normalize(LaurentPoly.from_dense(cp)) == mod.delta
             for _ in range(3):
                 x = tuple(F(rng.randint(-4, 4)) for _ in range(mod.dim))

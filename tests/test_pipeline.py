@@ -374,6 +374,7 @@ def test_cli_torus_report(tmp_path, capsys, p, q):
     (["alexpoly"], {"type": "torus", "p": 2, "q": [3]}),
     (["--format", "csv", "alexpoly"], {"type": "twist", "tw": 2}),
     (["--format", "csv", "report"], {"type": "twist", "tw": 2}),
+    (["--search-bound", "-1", "algslice"], {"type": "twist", "tw": 6}),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, args, family):
     spec_path = tmp_path / "k.json"
