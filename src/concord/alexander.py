@@ -11,6 +11,14 @@ Blanchfield values live in Q(t)/Q[t,t^-1].  They are computed over the
 single denominator d = det(tV - V^T), from the adjugate-style matrix R
 with (tV - V^T)^{-1} = R/d, and stored as a reduced numerator of degree
 < deg(denominator).
+
+Submodules are T-invariant subspaces stored as canonical RREF bases with
+their order ideals.  One Krylov elimination (`_krylov`) gives both the
+span w, Tw, T^2 w, ... of a vector and its annihilator; a submodule
+generated by several vectors is the span of their chains, of order the
+lcm of their annihilators.  A cyclic module A = Q[t]/(Delta) has exactly
+one submodule per monic divisor f of Delta, the image f(T) A, of order
+Delta/f.
 """
 
 from __future__ import annotations
@@ -178,7 +186,6 @@ class AlexanderModule:
         self._u = u
         self._uinv = uinv
         self._min_poly = None
-        self._generator = None
         self._inv_cache = None
         self._bl_cache = {}
         if mode == "direct":
@@ -214,9 +221,8 @@ class AlexanderModule:
     def minimal_polynomial(self):
         if self._min_poly is None:
             ann = [F(1)]
-            for i in range(self.dim):
-                e = tuple(F(1) if j == i else F(0) for j in range(self.dim))
-                ann = _poly_lcm(ann, _vector_annihilator(self, e))
+            for e in _unit_vectors(self.dim):
+                ann = _poly_lcm(ann, _krylov(self, e)[1])
             self._min_poly = ann
         return self._min_poly
 
@@ -227,34 +233,6 @@ class AlexanderModule:
         if self._mode == "snf":
             return len(self.blocks) <= 1
         return polys.deg(self.minimal_polynomial()) == self.dim
-
-    def cyclic_generator(self):
-        """A vector whose Krylov span is the whole module."""
-        if not self.is_cyclic:
-            raise NotCyclic("module is not cyclic")
-        if self._generator is None:
-            if self._mode == "snf":
-                self._generator = tuple(
-                    F(1) if i == 0 else F(0) for i in range(self.dim))
-            else:
-                self._generator = self._find_generator()
-        return self._generator
-
-    def _find_generator(self):
-        n = self.dim
-        basis = [tuple(F(1) if j == i else F(0) for j in range(n))
-                 for i in range(n)]
-        candidates = list(basis)
-        for i in range(n):
-            for j in range(i + 1, n):
-                candidates.append(tuple(a + b for a, b in
-                                        zip(basis[i], basis[j])))
-        for k in range(2, 8):
-            candidates.append(tuple(F(k ** i) for i in range(n)))
-        for cand in candidates:
-            if polys.deg(_vector_annihilator(self, cand)) == n:
-                return cand
-        raise ArithmeticError("no cyclic generator found")
 
     # -- coordinates ------------------------------------------------------
 
@@ -511,6 +489,10 @@ def _rref(vectors, pivot_cols):
     return tuple(tuple(row) for row in rows if any(row))
 
 
+def _unit_vectors(n):
+    return [tuple(F(1) if j == i else F(0) for j in range(n)) for i in range(n)]
+
+
 def _pivot(row, pivot_cols):
     """Column of the row's leading entry among the pivot columns, or None."""
     return next((i for i in range(pivot_cols) if row[i] != 0), None)
@@ -524,10 +506,6 @@ def _reduce(rref_basis, vec):
         if c != 0:
             v = [x - c * y for x, y in zip(v, row)]
     return v
-
-
-def _in_span(rref_basis, vec):
-    return not any(_reduce(rref_basis, vec))
 
 
 @dataclass(frozen=True)
@@ -547,7 +525,7 @@ class Submodule:
         return not self.basis
 
     def contains(self, vec):
-        return _in_span(self.basis, vec)
+        return not any(_reduce(self.basis, vec))
 
     def quotient_coords(self, vec):
         """Coordinates of vec in the quotient by this submodule: the residual
@@ -562,54 +540,46 @@ class Submodule:
                 tuple(tuple(str(c) for c in row) for row in self.basis))
 
 
-def _vector_annihilator(mod, w):
-    """Monic minimal p with p(T) w = 0."""
-    if all(c == 0 for c in w):
-        return [F(1)]
-    krylov = [tuple(w)]
+def _krylov(mod, w):
+    """(chain, p): the chain w, Tw, ..., T^(d-1) w and the monic minimal p
+    of degree d with p(T) w = 0.
+
+    One elimination: each T^k w is reduced against the echelon rows of the
+    earlier vectors while its combination of them is tracked, and the first
+    that reduces to zero gives p.
+    """
+    chain = []
+    rows = []  # (pivot, row with pivot entry 1, its combination of the chain)
+    v = tuple(map(F, w))
     while True:
-        nxt = mod.t_action(krylov[-1])
-        span = _rref(krylov, mod.dim)
-        if _in_span(span, nxt):
-            # solve nxt = sum c_i T^i w for the annihilator coefficients
-            k = len(krylov)
-            aug = [list(col) + [nxt[i]] for i, col in enumerate(zip(*krylov))]
-            sol = _solve_exact(aug, k)
-            return polys.trim([-c for c in sol] + [F(1)])
-        krylov.append(nxt)
-
-
-def _solve_exact(aug, unknowns):
-    """Solve an overdetermined consistent system from augmented rows."""
-    sol = [F(0)] * unknowns
-    for row in _rref(aug, unknowns):
-        c = _pivot(row, unknowns)
-        if c is None:
-            raise ArithmeticError("inconsistent linear system")
-        sol[c] = row[unknowns]
-    return sol
+        r = list(v)
+        comb = [F(0)] * len(chain) + [F(1)]
+        for piv, row, rc in rows:
+            c = r[piv]
+            if c != 0:
+                r = [x - c * y for x, y in zip(r, row)]
+                for i, y in enumerate(rc):
+                    comb[i] -= c * y
+        piv = _pivot(r, len(r))
+        if piv is None:
+            return chain, comb
+        inv = 1 / r[piv]
+        rows.append((piv, [x * inv for x in r], [x * inv for x in comb]))
+        chain.append(v)
+        v = mod.t_action(v)
 
 
 def submodule_from_vectors(mod, gens) -> Submodule:
-    """T-invariant closure of the span of the given coordinate vectors."""
-    vecs = [tuple(map(F, g)) for g in gens if any(F(c) != 0 for c in g)]
-    basis = _rref(vecs, mod.dim)
-    while True:
-        new = list(basis)
-        grew = False
-        for b in basis:
-            img = mod.t_action(b)
-            if not _in_span(basis, img):
-                new.append(tuple(img))
-                grew = True
-        if not grew:
-            break
-        basis = _rref(new, mod.dim)
+    """Submodule generated by the given coordinate vectors: spanned by their
+    Krylov chains, of order the lcm of their annihilators."""
+    chains = []
     ann = [F(1)]
-    for b in basis:
-        ann = _poly_lcm(ann, _vector_annihilator(mod, b))
-    order = normalize(LaurentPoly.from_dense(ann))
-    return Submodule(mod, basis, order)
+    for g in gens:
+        chain, p = _krylov(mod, g)
+        chains.extend(chain)
+        ann = _poly_lcm(ann, p)
+    return Submodule(mod, _rref(chains, mod.dim),
+                     normalize(LaurentPoly.from_dense(ann)))
 
 
 def _poly_lcm(a, b):
@@ -622,34 +592,32 @@ def zero_submodule(mod) -> Submodule:
 
 
 def submodules_cyclic(mod):
-    """All submodules of a cyclic module, one per divisor of Delta."""
-    if mod.dim == 0:
-        return [zero_submodule(mod)]
+    """All submodules of a cyclic module A = Q[t]/(Delta): the images
+    f(T) A, one for each divisor f of Delta up to units, f(T) A of order
+    Delta/f."""
     if not mod.is_cyclic:
         raise NotCyclic("submodule enumeration needs a cyclic module "
                         "(minimal polynomial must equal Delta)")
-    gen = mod.cyclic_generator()
-    fact = laurent_factor(mod.delta)
-    out = []
-    exps = [(f, m) for f, m in fact.factors]
-
-    def rec(i, current):
-        if i == len(exps):
-            vec = mod.poly_action(current, gen)
-            out.append(submodule_from_vectors(mod, [vec]))
-            return
-        f, m = exps[i]
+    delta, _ = mod.delta.to_dense()
+    std = _unit_vectors(mod.dim)
+    divisors = [[F(1)]]
+    for f, m in laurent_factor(mod.delta).factors:
         fd, _ = f.to_dense()
-        acc = list(current)
-        for e in range(m + 1):
-            rec(i + 1, acc)
-            acc = polys.mul(acc, fd)
-
-    rec(0, [F(1)])
-    uniq = {}
-    for s in out:
-        uniq[s.basis] = s
-    return sorted(uniq.values(), key=lambda s: s.sort_key())
+        powers = [[F(1)]]
+        for _ in range(m):
+            powers.append(polys.mul(powers[-1], fd))
+        divisors = [polys.mul(d, q) for d in divisors for q in powers]
+    out = []
+    for f in divisors:
+        basis = _rref([mod.poly_action(f, e) for e in std], mod.dim)
+        order = polys.exact_div(delta, f)
+        if len(basis) != polys.deg(order):
+            raise ArithmeticError(
+                f"f(T)A has dimension {len(basis)}, not deg(Delta/f) = "
+                f"{polys.deg(order)}")
+        out.append(Submodule(mod, basis,
+                             normalize(LaurentPoly.from_dense(order))))
+    return sorted(out, key=lambda s: s.sort_key())
 
 
 def proper_submodules(mod):
@@ -660,14 +628,10 @@ def proper_submodules(mod):
 def orthogonal_complement(mod, p: Submodule) -> Submodule:
     """P-perp for the Blanchfield form, by exact linear algebra."""
     n = mod.dim
-    if n == 0 or p.is_zero:
-        basis = [tuple(F(1) if i == j else F(0) for j in range(n))
-                 for i in range(n)]
-        return submodule_from_vectors(mod, basis) if basis else zero_submodule(mod)
     delta_dense, _ = mod.delta.to_dense()
     dd = polys.deg(delta_dense)
     rows = []
-    std = [tuple(F(1) if i == j else F(0) for j in range(n)) for i in range(n)]
+    std = _unit_vectors(n)
     for pv in p.basis:
         conds = [[F(0)] * n for _ in range(dd)]
         for j, bj in enumerate(std):
@@ -679,10 +643,7 @@ def orthogonal_complement(mod, p: Submodule) -> Submodule:
             for k, c in enumerate(lifted):
                 conds[k][j] = c
         rows.extend(conds)
-    kernel = _kernel(rows, n)
-    if not kernel:
-        return zero_submodule(mod)
-    return submodule_from_vectors(mod, kernel)
+    return submodule_from_vectors(mod, _kernel(rows, n))
 
 
 def _kernel(rows, n):

@@ -259,18 +259,26 @@ class Assumptions:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise specs.SchemaError("assumptions must be an object mapping "
+                                    "atom names to value, sign or interval")
         entries = {}
         for name, body in doc.items():
+            if not isinstance(body, dict):
+                raise specs.SchemaError(
+                    f"assumption {name!r} must be an object, got {body!r}")
             if "value" in body:
-                entries[name] = Assumption("value", str(body["value"]))
+                entries[name] = _assumption(name, "value", str(body["value"]))
             elif "sign" in body:
-                entries[name] = Assumption("sign", str(body["sign"]))
+                entries[name] = _assumption(name, "sign", body["sign"])
             elif "interval" in body:
-                lo, hi = body["interval"]
-                entries[name] = Assumption(
-                    "interval",
-                    lo=None if lo is None else str(lo),
-                    hi=None if hi is None else str(hi))
+                bounds = body["interval"]
+                if not (isinstance(bounds, list) and len(bounds) == 2):
+                    raise specs.SchemaError(
+                        f"assumption {name!r}: interval must be [lo, hi], "
+                        f"got {bounds!r}")
+                lo, hi = (None if b is None else str(b) for b in bounds)
+                entries[name] = _assumption(name, "interval", lo=lo, hi=hi)
             else:
                 raise specs.SchemaError(
                     f"assumption {name!r} needs value, sign or interval")
@@ -284,16 +292,31 @@ class Assumptions:
             for spec in specs.iter_specs(top):
                 for fct in spec.facts:
                     if fct.kind == "sigvalue":
-                        entries[fct.atom] = Assumption(
-                            "value", fct.value, provenance=fct.provenance)
+                        entries[fct.atom] = _assumption(
+                            fct.atom, "value", fct.value,
+                            provenance=fct.provenance)
                     elif fct.kind == "siginterval":
-                        entries[fct.atom] = Assumption(
-                            "interval", lo=fct.lo, hi=fct.hi,
+                        entries[fct.atom] = _assumption(
+                            fct.atom, "interval", lo=fct.lo, hi=fct.hi,
                             provenance=fct.provenance)
                     elif fct.kind == "sigsign":
-                        entries[fct.atom] = Assumption(
-                            "sign", fct.value, provenance=fct.provenance)
+                        entries[fct.atom] = _assumption(
+                            fct.atom, "sign", fct.value,
+                            provenance=fct.provenance)
         return cls(entries)
+
+
+def _assumption(name, kind, value="", lo=None, hi=None, provenance=""):
+    """An Assumption whose rationals and sign tag are checked."""
+    ctx = f"assumption {name!r}"
+    if kind == "value":
+        specs.rational_text(value, ctx)
+    elif kind == "sign":
+        specs.sign_tag(value, ctx)
+    for bound in (lo, hi):
+        if bound is not None:
+            specs.rational_text(bound, ctx)
+    return Assumption(kind, value, lo=lo, hi=hi, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +522,7 @@ def _dedupe(exprs):
 # Alexander nullity rule table
 # ---------------------------------------------------------------------------
 
-def nullity(obj, abelianization: bool = True) -> int | None:
+def nullity(obj) -> int | None:
     """Rule-table Alexander nullity; None means Unknown.
 
     Knots always have nullity 0.  Boundary, split and infected trivial
@@ -514,7 +537,6 @@ def nullity(obj, abelianization: bool = True) -> int | None:
         return 0
     if obj.declared_nullity is not None:
         return obj.declared_nullity
-    if abelianization and obj.structure in ("split", "boundary",
-                                            "infected_trivial"):
+    if obj.structure in ("split", "boundary", "infected_trivial"):
         return obj.component_count - 1
     return None

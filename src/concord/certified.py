@@ -9,6 +9,7 @@ point anywhere, so enclosures are proofs, not estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -147,8 +148,10 @@ def atan_bounds(x: Fraction, bits: int):
     return m * lo1, m * hi1
 
 
+@cache
 def pi_bounds(bits: int):
-    """Machin: pi = 16 atan(1/5) - 4 atan(1/239)."""
+    """Machin: pi = 16 atan(1/5) - 4 atan(1/239).  Cached per bit width:
+    callers use a handful of widths."""
     a_lo, a_hi = atan_bounds(F(1, 5), bits + 6)
     b_lo, b_hi = atan_bounds(F(1, 239), bits + 6)
     return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo

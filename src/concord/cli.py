@@ -139,19 +139,11 @@ def _dispatch(args, req) -> int:
               f"(search complete = {search.complete})")
         return 0
     if cmd == "metabolizers":
-        v = _matrix(spec)
-        if v.genus == 1:
-            items = mb.genus1_metabolizers(v)
-            complete = True
-        elif v.genus == 0:
-            items, complete = [], True
-        else:
-            search = mb.higher_genus_metabolizers(v, req.search_bound)
-            items, complete = list(search), search.complete
-        text = [f"complete: {complete}"] + [str(list(map(list, m.basis)))
-                                            for m in items]
-        _emit(args, {"name": spec.name, "complete": complete,
-                     "items": [[list(b) for b in m.basis] for m in items]},
+        search = mb.matrix_metabolizers(_matrix(spec), req.search_bound)
+        text = [f"complete: {search.complete}"] + [
+            str(list(map(list, m.basis))) for m in search]
+        _emit(args, {"name": spec.name, "complete": search.complete,
+                     "items": [[list(b) for b in m.basis] for m in search]},
               "\n".join(text))
         return 0
     if cmd == "lagrangians":

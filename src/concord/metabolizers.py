@@ -206,12 +206,7 @@ def _bounded_search(v: SeifertMatrix, bound: int):
 def metabolizer_to_lagrangian(mod: AlexanderModule, m: Metabolizer) -> Submodule:
     """Submodule generated by the images (V - V^T) b_i; isotropic always,
     Lagrangian whenever deg Delta = 2g."""
-    gens = [mod.incl_surface(b) for b in m.basis]
-    gens = [g_ for g_ in gens if any(c != 0 for c in g_)]
-    if not gens:
-        from .alexander import zero_submodule
-        return zero_submodule(mod)
-    return submodule_from_vectors(mod, gens)
+    return submodule_from_vectors(mod, [mod.incl_surface(b) for b in m.basis])
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +469,19 @@ def catalogued_metabolizers(spec: specs.KnotSpec, search_bound: int = 3):
     v = specs.seifert_matrix(spec)
     if v is None:
         raise NotRepresentable(f"abstract knot {spec.name} has no matrix")
-    if v.genus == 0:
-        return MetabolizerSearch((), complete=True)
-    if v.genus == 1:
-        return MetabolizerSearch(tuple(genus1_metabolizers(v)), complete=True)
-    if isinstance(spec.family, specs.Explicit):
+    if v.genus >= 2 and isinstance(spec.family, specs.Explicit):
         try:
             return MetabolizerSearch((a_band_metabolizer(spec),), complete=False)
         except NotMetabolic:
             return MetabolizerSearch((), complete=False)
+    return matrix_metabolizers(v, search_bound)
+
+
+def matrix_metabolizers(v: SeifertMatrix, search_bound: int = 3):
+    """The metabolizers of a Seifert form by genus: none at genus 0, the
+    complete genus-one factorization, else the higher-genus search."""
+    if v.genus == 0:
+        return MetabolizerSearch((), complete=True)
+    if v.genus == 1:
+        return MetabolizerSearch(tuple(genus1_metabolizers(v)), complete=True)
     return higher_genus_metabolizers(v, search_bound)

@@ -227,7 +227,16 @@ def unknot_spec(name: str = "U") -> KnotSpec:
 # JSON document parsing
 # ---------------------------------------------------------------------------
 
+SIGN_TAGS = ("positive", "negative", "nonnegative", "nonpositive", "nonzero")
+
+
+def _type_name(value):
+    return "null" if value is None else type(value).__name__
+
+
 def _require(doc, key, context):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{context} must be an object, got {_type_name(doc)}")
     if key not in doc:
         raise SchemaError(f"{context}: missing field {key!r}")
     return doc[key]
@@ -242,16 +251,58 @@ def _int_field(doc, key, context):
                           f"got {value!r}") from None
 
 
+def _str_field(doc, key, context, default=""):
+    """A string field; required when default is None."""
+    value = _require(doc, key, context) if default is None \
+        else doc.get(key, default)
+    if not isinstance(value, str):
+        raise SchemaError(f"{context}: field {key!r} must be a string, "
+                          f"got {_type_name(value)}")
+    return value
+
+
+def _list_field(doc, key, context):
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{context}: field {key!r} must be a list, "
+                          f"got {_type_name(value)}")
+    return value
+
+
+def rational_text(value, context) -> str:
+    """str(value), checked to read as a rational number."""
+    text = str(value)
+    try:
+        F(text)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"{context}: {value!r} is not a rational "
+                          "number") from None
+    return text
+
+
+def sign_tag(value, context) -> str:
+    if value not in SIGN_TAGS:
+        raise SchemaError(f"{context}: sign must be one of "
+                          f"{', '.join(SIGN_TAGS)}, got {value!r}")
+    return value
+
+
 def parse_fact(doc) -> Fact:
     kind = _require(doc, "kind", "fact")
     if kind not in ("sigvalue", "siginterval", "sigsign", "slice_lagrangians"):
         raise SchemaError(f"fact: unknown kind {kind!r}")
+    ctx = f"fact {kind}"
+    value = str(doc.get("value", ""))
+    if kind == "sigvalue":
+        value = rational_text(value, ctx)
+    elif kind == "sigsign":
+        value = sign_tag(value, ctx)
+    lo, hi = (None if doc.get(k) is None else rational_text(doc[k], ctx)
+              for k in ("lo", "hi"))
     return Fact(kind=kind,
-                atom=doc.get("atom", ""),
-                value=str(doc.get("value", "")),
-                lo=None if doc.get("lo") is None else str(doc["lo"]),
-                hi=None if doc.get("hi") is None else str(doc["hi"]),
-                provenance=doc.get("provenance", ""))
+                atom=_str_field(doc, "atom", ctx),
+                value=value, lo=lo, hi=hi,
+                provenance=_str_field(doc, "provenance", ctx))
 
 
 def parse_site(doc, context) -> Site:
@@ -262,8 +313,10 @@ def parse_site(doc, context) -> Site:
         return Site(infect=infect, band_meridian=_int_field(
             doc, "band_meridian", f"{context}.site"))
     if "eta_module" in doc:
-        return Site(infect=infect,
-                    eta_module=tuple(F(str(c)) for c in doc["eta_module"]))
+        ctx = f"{context}.site"
+        coords = _list_field(doc, "eta_module", ctx)
+        return Site(infect=infect, eta_module=tuple(
+            F(rational_text(c, ctx)) for c in coords))
     raise SchemaError(f"{context}: site needs eta_module, band_meridian "
                       "or second_derived")
 
@@ -273,21 +326,19 @@ def parse_knot(doc) -> KnotSpec:
         return abstract_knot(doc)
     if not isinstance(doc, dict):
         raise SchemaError(f"knot spec must be an object or name, got {doc!r}")
-    name = _require(doc, "name", "knot")
+    name = _str_field(doc, "name", "knot", None)
     fam_doc = _require(doc, "family", f"knot {name}")
     ftype = _require(fam_doc, "type", f"knot {name}.family")
     ctx = f"knot {name}"
 
     def sub(key, required=False):
-        if key not in fam_doc:
-            if required:
-                raise SchemaError(f"{ctx}: family needs {key!r}")
-            return ()
-        return tuple(parse_knot(d) for d in fam_doc[key])
+        if key not in fam_doc and required:
+            raise SchemaError(f"{ctx}: family needs {key!r}")
+        return tuple(parse_knot(d) for d in _list_field(fam_doc, key, ctx))
 
     if ftype == "twist":
         fam = Twist(_int_field(fam_doc, "tw", ctx), sub("cores"),
-                    fam_doc.get("base_name", ""))
+                    _str_field(fam_doc, "base_name", ctx))
     elif ftype == "torus":
         fam = Torus(_int_field(fam_doc, "p", ctx),
                     _int_field(fam_doc, "q", ctx))
@@ -295,8 +346,8 @@ def parse_knot(doc) -> KnotSpec:
         fam = GenusOne(_int_field(fam_doc, "l", ctx),
                        _int_field(fam_doc, "tw", ctx),
                        sub("cores"),
-                       fam_doc.get("string_link", "generic"),
-                       fam_doc.get("base_name", ""))
+                       _str_field(fam_doc, "string_link", ctx, "generic"),
+                       _str_field(fam_doc, "base_name", ctx))
     elif ftype == "genus_two_fig9":
         b = fam_doc.get("B")
         fam = GenusTwoFig9(_int_field(fam_doc, "l1", ctx),
@@ -310,37 +361,48 @@ def parse_knot(doc) -> KnotSpec:
         rows = _require(fam_doc, "matrix", ctx)
         try:
             mat = SeifertMatrix.from_rows(rows)
-        except ValueError as exc:
-            raise SchemaError(f"{ctx}: {exc}") from exc
-        fam = Explicit(mat, sub("band_cores"), fam_doc.get("base_name", ""))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{ctx}: matrix: {exc}") from exc
+        fam = Explicit(mat, sub("band_cores"),
+                       _str_field(fam_doc, "base_name", ctx))
     elif ftype == "abstract":
         fam = Abstract()
     elif ftype == "unknot":
         fam = Unknot()
     else:
         raise SchemaError(f"{ctx}: unknown family type {ftype!r}")
-    facts = tuple(parse_fact(f) for f in doc.get("facts", ()))
-    sites = tuple(parse_site(s, ctx) for s in doc.get("sites", ()))
+    facts = tuple(parse_fact(f) for f in _list_field(doc, "facts", ctx))
+    sites = tuple(parse_site(s, ctx) for s in _list_field(doc, "sites", ctx))
     return KnotSpec(name, fam, facts, sites)
 
 
+def _rho0_term(pair, context):
+    if not (isinstance(pair, list) and len(pair) == 2
+            and isinstance(pair[0], str)):
+        raise SchemaError(f"{context}: declared_rho0 entries must be "
+                          f"[atom, coefficient] pairs, got {pair!r}")
+    return pair[0], rational_text(pair[1], context)
+
+
 def parse_link(doc) -> LinkSpec:
-    name = _require(doc, "name", "link")
+    name = _str_field(doc, "name", "link", None)
+    ctx = f"link {name}"
     structure = doc.get("structure", "declared")
     if structure not in ("split", "boundary", "clasp_fig12",
                          "infected_trivial", "declared"):
-        raise SchemaError(f"link {name}: unknown structure {structure!r}")
-    comps = tuple(parse_knot(d) for d in doc.get("components", ()))
+        raise SchemaError(f"{ctx}: unknown structure {structure!r}")
+    comps = tuple(parse_knot(d) for d in _list_field(doc, "components", ctx))
     infections = tuple(
-        LinkInfection(parse_knot(_require(i, "infect", f"link {name}")),
+        LinkInfection(parse_knot(_require(i, "infect", ctx)),
                       bool(i.get("nontrivial", True)))
-        for i in doc.get("infections", ()))
+        for i in _list_field(doc, "infections", ctx))
     nullity = doc.get("declared_nullity")
-    rho0 = tuple((str(a), str(c)) for a, c in doc.get("declared_rho0", ()))
-    facts = tuple(parse_fact(f) for f in doc.get("facts", ()))
+    rho0 = tuple(_rho0_term(p, ctx)
+                 for p in _list_field(doc, "declared_rho0", ctx))
+    facts = tuple(parse_fact(f) for f in _list_field(doc, "facts", ctx))
     return LinkSpec(name, comps, structure, infections,
                     None if nullity is None
-                    else _int_field(doc, "declared_nullity", f"link {name}"),
+                    else _int_field(doc, "declared_nullity", ctx),
                     rho0, facts)
 
 

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 from concord import polys
-from concord.alexander import BL_ZERO, _reduce_mod_ring
+from concord.alexander import (BL_ZERO, NotCyclic, Submodule, _pivot, _reduce,
+                               _reduce_mod_ring, _rref)
+from concord.laurent import LaurentPoly, factor, normalize
 from concord.seifert import SeifertMatrix, presentation_matrix
 
 F = Fraction
@@ -437,3 +439,113 @@ def oracle_blanchfield(mod, x, y):
         return BL_ZERO
     num = polys.mul(total.num, [F(-1), F(1)])
     return _reduce_mod_ring(num, total.den, -dmax)
+
+
+# ---------------------------------------------------------------------------
+# The generator-based submodule engine that the Krylov elimination replaced:
+# one RREF per Krylov step plus a solve for each annihilator, a closure
+# loop for generated submodules, and a searched cyclic generator
+# ---------------------------------------------------------------------------
+
+def _in_span(rref_basis, vec):
+    return not any(_reduce(rref_basis, vec))
+
+
+def _solve_exact(aug, unknowns):
+    """Solve an overdetermined consistent system from augmented rows."""
+    sol = [F(0)] * unknowns
+    for row in _rref(aug, unknowns):
+        c = _pivot(row, unknowns)
+        if c is None:
+            raise ArithmeticError("inconsistent linear system")
+        sol[c] = row[unknowns]
+    return sol
+
+
+def vector_annihilator(mod, w):
+    """Monic minimal p with p(T) w = 0."""
+    if all(c == 0 for c in w):
+        return [F(1)]
+    krylov = [tuple(w)]
+    while True:
+        nxt = mod.t_action(krylov[-1])
+        if _in_span(_rref(krylov, mod.dim), nxt):
+            # solve nxt = sum c_i T^i w for the annihilator coefficients
+            k = len(krylov)
+            aug = [list(col) + [nxt[i]] for i, col in enumerate(zip(*krylov))]
+            sol = _solve_exact(aug, k)
+            return polys.trim([-c for c in sol] + [F(1)])
+        krylov.append(nxt)
+
+
+def _lcm(a, b):
+    g = polys.gcd_monic(a, b)
+    return polys.monic(polys.exact_div(polys.mul(a, b), g))
+
+
+def closure_submodule(mod, gens):
+    """T-invariant closure of the span of the given coordinate vectors."""
+    vecs = [tuple(map(F, g)) for g in gens if any(F(c) != 0 for c in g)]
+    basis = _rref(vecs, mod.dim)
+    while True:
+        new = list(basis)
+        grew = False
+        for b in basis:
+            img = mod.t_action(b)
+            if not _in_span(basis, img):
+                new.append(tuple(img))
+                grew = True
+        if not grew:
+            break
+        basis = _rref(new, mod.dim)
+    ann = [F(1)]
+    for b in basis:
+        ann = _lcm(ann, vector_annihilator(mod, b))
+    return Submodule(mod, basis, normalize(LaurentPoly.from_dense(ann)))
+
+
+def find_generator(mod):
+    """A vector whose Krylov span is the whole (cyclic) module, from a
+    fixed candidate list."""
+    n = mod.dim
+    basis = [tuple(F(1) if j == i else F(0) for j in range(n))
+             for i in range(n)]
+    if mod.blocks is not None:
+        return basis[0]
+    candidates = list(basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            candidates.append(tuple(a + b for a, b in zip(basis[i], basis[j])))
+    for k in range(2, 8):
+        candidates.append(tuple(F(k ** i) for i in range(n)))
+    for cand in candidates:
+        if polys.deg(vector_annihilator(mod, cand)) == n:
+            return cand
+    raise ArithmeticError("no cyclic generator found")
+
+
+def generator_submodules(mod):
+    """All submodules of a cyclic module: the closures of f(T) g for a
+    found generator g and every divisor f of Delta, deduplicated."""
+    if mod.dim == 0:
+        return [Submodule(mod, (), LaurentPoly.one())]
+    if not mod.is_cyclic:
+        raise NotCyclic("module is not cyclic")
+    gen = find_generator(mod)
+    out = []
+    exps = list(factor(mod.delta).factors)
+
+    def rec(i, current):
+        if i == len(exps):
+            out.append(closure_submodule(mod, [mod.poly_action(current, gen)]))
+            return
+        f, m = exps[i]
+        fd, _ = f.to_dense()
+        acc = list(current)
+        for _ in range(m + 1):
+            rec(i + 1, acc)
+            acc = polys.mul(acc, fd)
+
+    rec(0, [F(1)])
+    uniq = {s.basis: s for s in out}
+    return sorted(uniq.values(), key=lambda s: s.sort_key())

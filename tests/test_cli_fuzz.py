@@ -1,0 +1,75 @@
+"""CLI fuzz test: mutated copies of the golden specs and assumption files
+either run or exit with a documented code and a one-line message."""
+
+import contextlib
+import copy
+import io
+import json
+import random
+from pathlib import Path
+
+from concord import cli
+
+DATA = Path(__file__).parent / "data" / "reports"
+SPECS = sorted(DATA.glob("*.spec.json"))
+REPLACEMENTS = (5, -1, "a", [], [1], {}, None)
+MUTANTS = 150
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+def _mutate(rng, doc):
+    """doc with one leaf or container replaced, or one key dropped."""
+    doc = copy.deepcopy(doc)
+    path = rng.choice(list(_paths(doc)))
+    value = rng.choice(REPLACEMENTS)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rng.random() < 0.25:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_cli_fuzz_mutated_documents(tmp_path):
+    rng = random.Random(2008)
+    codes = {}
+    for i in range(MUTANTS):
+        spec_file = rng.choice(SPECS)
+        assume_file = DATA / spec_file.name.replace(".spec.", ".assume.")
+        spec = json.loads(spec_file.read_text())
+        assume = json.loads(assume_file.read_text()) \
+            if assume_file.exists() else None
+        if assume is not None and rng.random() < 0.5:
+            assume = _mutate(rng, assume)
+        else:
+            spec = _mutate(rng, spec)
+        spec_path = tmp_path / f"spec{i}.json"
+        spec_path.write_text(json.dumps(spec))
+        args = [rng.choice(("verdict", "report")), str(spec_path)]
+        if assume is not None:
+            asm_path = tmp_path / f"assume{i}.json"
+            asm_path.write_text(json.dumps(assume))
+            args = ["--assume", str(asm_path)] + args
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args)
+        assert code in (0, 2, 3), (args, spec, assume)
+        if code:
+            assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+        codes[code] = codes.get(code, 0) + 1
+    # the mutants reach the parsers and the stages behind them
+    assert codes.get(0, 0) > 10 and codes.get(2, 0) > 10

@@ -383,3 +383,41 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, args, family):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+_TWIST2 = {"name": "k", "family": {"type": "twist", "tw": 2}}
+
+
+@pytest.mark.parametrize("command,doc,assume", [
+    ("verdict", {"name": "k", "family": {"type": "explicit", "matrix": 5}},
+     None),
+    ("verdict", {"name": "k", "family": {"type": "twist", "tw": 2,
+                                         "cores": 5}}, None),
+    ("verdict", dict(_TWIST2, facts=[5]), None),
+    ("verdict", dict(_TWIST2, sites=[{"infect": "J", "eta_module": ["a"]}]),
+     None),
+    ("first-order", {"name": "L", "link": True, "components": ["A", "B"],
+                     "declared_rho0": 5}, None),
+    ("report", dict(_TWIST2, facts=[{"kind": "sigvalue", "atom": "rho1(k)",
+                                     "value": "abc"}]), None),
+    ("verdict", _TWIST2, [1]),
+    ("verdict", _TWIST2, {"rho0(k)": 5}),
+    ("verdict", _TWIST2, {"rho0(k)": {"interval": 5}}),
+    ("verdict", _TWIST2, {"rho0(k)": {"value": "abc"}}),
+    ("report", _TWIST2, {"rho0(k)": {"interval": ["a", 1]}}),
+    ("verdict", _TWIST2, {"rho0(k)": {"sign": "weird"}}),
+])
+def test_cli_malformed_documents_exit_2(tmp_path, capsys, command, doc, assume):
+    """Malformed documents and assumption files are schema errors, caught
+    where they are parsed."""
+    spec_path = tmp_path / "k.json"
+    spec_path.write_text(json.dumps(doc))
+    args = [command, str(spec_path)]
+    if assume is not None:
+        asm_path = tmp_path / "assume.json"
+        asm_path.write_text(json.dumps(assume))
+        args = ["--assume", str(asm_path)] + args
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ")
+    assert len(err.strip().splitlines()) == 1
