@@ -12,7 +12,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import alexander, calculus, metabolizers as mb, pipeline, seifert as sf, specs
+from . import (alexander, calculus, laurent, metabolizers as mb, pipeline,
+               seifert as sf, specs)
 from .laurent import render as lrender
 
 F = Fraction
@@ -23,7 +24,7 @@ EXIT_UNSUPPORTED = 3
 _UNSUPPORTED = (alexander.NotCyclic, alexander.UnsupportedModule,
                 calculus.UnsupportedLink, calculus.MissingBaseFact,
                 mb.NotRepresentable, mb.WrongGenus, mb.NotMetabolic,
-                mb.RankMismatch, sf.NotAKnot)
+                mb.RankMismatch, sf.NotAKnot, laurent.UnsupportedDegree)
 
 
 def _load_spec(path):

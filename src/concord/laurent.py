@@ -204,7 +204,9 @@ def conjugate(p: LaurentPoly) -> LaurentPoly:
 
 
 def factor(p: LaurentPoly, max_degree: int = 32) -> PrimeFactorization:
-    """Complete factorization into rationally irreducible canonical factors."""
+    """Complete factorization into rationally irreducible canonical factors,
+    sorted by degree and then by coefficients from the top down; the
+    canonical form is factored over Z[t] by polys.factor_z."""
     if p.is_zero:
         raise ZeroPolynomial("cannot factor 0")
     if p.span > max_degree:
@@ -213,28 +215,9 @@ def factor(p: LaurentPoly, max_degree: int = 32) -> PrimeFactorization:
     canon = normalize(p)
     ucoeff, uexp = unit_between(p, canon)
     dense, _ = canon.to_dense()
-    factors = []
-    if polys.deg(dense) > 0:
-        import sympy
-
-        t = sympy.Symbol("t")
-        expr = sympy.Poly([sympy.Rational(c) for c in reversed(dense)], t)
-        content, flist = expr.factor_list()
-        ucoeff *= F(content.p, content.q)
-        for fac, mult in sorted(
-                flist, key=lambda fm: (fm[0].degree(), fm[0].all_coeffs())):
-            coeffs = [F(c.p, c.q) for c in reversed(fac.all_coeffs())]
-            fcanon = normalize(LaurentPoly.from_dense(coeffs))
-            c, e = unit_between(LaurentPoly.from_dense(coeffs), fcanon)
-            if fcanon == LaurentPoly.one():
-                # pure t power: fold into the unit
-                ucoeff *= c ** mult
-                uexp += e * mult
-                continue
-            ucoeff *= c ** mult
-            uexp += e * mult
-            factors.append((fcanon, mult))
-    result = PrimeFactorization(ucoeff, uexp, tuple(factors))
+    factors = tuple((LaurentPoly.from_dense(g), m)
+                    for g, m in polys.factor_z([int(c) for c in dense]))
+    result = PrimeFactorization(ucoeff, uexp, factors)
     if result.recompose() != p:
         raise ArithmeticError("factorization failed to recompose input")
     return result

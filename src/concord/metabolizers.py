@@ -130,7 +130,7 @@ def higher_genus_metabolizers(v: SeifertMatrix, search_bound: int = 3):
 
     Complete for block-diagonal forms with pairwise-coprime block
     Alexander polynomials (blockwise products of the genus-one answers)
-    and for definite symmetrized forms (empty).  Otherwise a bounded
+    and for forms of nonzero signature (empty).  Otherwise a bounded
     primitive-frame enumeration, flagged incomplete.
     """
     if v.genus < 2:
@@ -158,8 +158,10 @@ def higher_genus_metabolizers(v: SeifertMatrix, search_bound: int = 3):
                     basis.append(tuple(vec))
                 out.append(Metabolizer(v, tuple(basis)))
             return MetabolizerSearch(tuple(out), complete=True)
-    # V + V^T definite: |signature| = 2g also rules out a zero eigenvalue
-    if abs(lt_signature(v, OMEGA_MINUS_ONE)) == v.size:
+    # V + V^T is nonsingular (its determinant is det(V - V^T) = 1 mod 2)
+    # and vanishes on a metabolizer, a half-dimensional subspace, so a
+    # metabolic V has signature 0
+    if lt_signature(v, OMEGA_MINUS_ONE) != 0:
         return MetabolizerSearch((), complete=True)
     return MetabolizerSearch(tuple(_bounded_search(v, search_bound)),
                              complete=False)

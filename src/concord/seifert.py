@@ -12,6 +12,7 @@ polynomial in x = t + 1/t, arc lengths are certified arccos enclosures.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd
@@ -30,6 +31,19 @@ class NotAKnot(ValueError):
 # ---------------------------------------------------------------------------
 # Seifert matrices
 # ---------------------------------------------------------------------------
+
+_INT_TEXT = re.compile(r"\s*[+-]?\d+\s*")
+
+
+def parse_int(value) -> int:
+    """An int (not a bool) or a string of decimal digits as an int; floats,
+    2.0 included, and every other value raise ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INT_TEXT.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
 
 def _block_form_ok(j):
     """V - V^T must be block diagonal with 2x2 blocks [[0, +-1], [-+1, 0]]."""
@@ -68,7 +82,7 @@ class SeifertMatrix:
 
     @classmethod
     def from_rows(cls, rows):
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(tuple(tuple(parse_int(x) for x in r) for r in rows))
 
     @property
     def size(self):

@@ -245,8 +245,8 @@ def _require(doc, key, context):
 def _int_field(doc, key, context):
     value = _require(doc, key, context)
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
+        return sf.parse_int(value)
+    except ValueError:
         raise SchemaError(f"{context}: field {key!r} must be an integer, "
                           f"got {value!r}") from None
 

@@ -549,3 +549,31 @@ def generator_submodules(mod):
     rec(0, [F(1)])
     uniq = {s.basis: s for s in out}
     return sorted(uniq.values(), key=lambda s: s.sort_key())
+
+
+def factor_sympy(p):
+    """laurent.factor as it was when it called sympy.factor_list: the
+    differential oracle of the in-house factorization over Z[t]."""
+    import sympy
+
+    from concord.laurent import PrimeFactorization, unit_between
+
+    canon = normalize(p)
+    ucoeff, uexp = unit_between(p, canon)
+    dense, _ = canon.to_dense()
+    factors = []
+    if polys.deg(dense) > 0:
+        t = sympy.Symbol("t")
+        expr = sympy.Poly([sympy.Rational(c) for c in reversed(dense)], t)
+        content, flist = expr.factor_list()
+        ucoeff *= F(content.p, content.q)
+        for fac, mult in sorted(
+                flist, key=lambda fm: (fm[0].degree(), fm[0].all_coeffs())):
+            coeffs = [F(c.p, c.q) for c in reversed(fac.all_coeffs())]
+            fcanon = normalize(LaurentPoly.from_dense(coeffs))
+            c, e = unit_between(LaurentPoly.from_dense(coeffs), fcanon)
+            ucoeff *= c ** mult
+            uexp += e * mult
+            if fcanon != LaurentPoly.one():
+                factors.append((fcanon, mult))
+    return PrimeFactorization(ucoeff, uexp, tuple(factors))

@@ -1,5 +1,7 @@
 """CLI fuzz test: mutated copies of the golden specs and assumption files
-either run or exit with a documented code and a one-line message."""
+either run or exit with a documented code and a one-line message; and
+the exit codes of non-integral numbers and of Delta above the
+factorization bound."""
 
 import contextlib
 import copy
@@ -8,11 +10,13 @@ import json
 import random
 from pathlib import Path
 
-from concord import cli
+import pytest
+
+from concord import alexander, cli, laurent
 
 DATA = Path(__file__).parent / "data" / "reports"
 SPECS = sorted(DATA.glob("*.spec.json"))
-REPLACEMENTS = (5, -1, "a", [], [1], {}, None)
+REPLACEMENTS = (5, -1, "a", [], [1], {}, None, 2.7, True, 1e400)
 MUTANTS = 150
 
 
@@ -73,3 +77,44 @@ def test_cli_fuzz_mutated_documents(tmp_path):
         codes[code] = codes.get(code, 0) + 1
     # the mutants reach the parsers and the stages behind them
     assert codes.get(0, 0) > 10 and codes.get(2, 0) > 10
+
+
+def _run(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("family", [
+    {"type": "twist", "tw": 2.7}, {"type": "twist", "tw": True},
+    {"type": "twist", "tw": 2.0}, {"type": "twist", "tw": 1e400},
+    {"type": "twist", "tw": "2.5"}, {"type": "torus", "p": 2, "q": 3.0},
+    {"type": "explicit", "matrix": [[-1.9, 1], [0, 1]]},
+    {"type": "explicit", "matrix": [[False, 1], [0, 1]]},
+    {"type": "explicit", "matrix": [["1/2", 1], [0, 1]]}])
+def test_non_integral_numbers_are_schema_errors(tmp_path, family):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"name": "K", "family": family}))
+    code, out, err = _run(["alexpoly", str(path)])
+    assert code == 2 and not out
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def test_integral_strings_are_integers(tmp_path):
+    path = tmp_path / "k.json"
+    for family in ({"type": "twist", "tw": "2"},
+                   {"type": "explicit", "matrix": [["2", "1"], [0, "-1"]]}):
+        path.write_text(json.dumps({"name": "K", "family": family}))
+        assert _run(["alexpoly", str(path)]) == (0, "2*t^2 - 5*t + 2\n", "")
+
+
+def test_delta_above_factorization_bound_exits_3(monkeypatch):
+    def low_bound(p):
+        return laurent.factor(p, max_degree=1)
+
+    monkeypatch.setattr(alexander, "laurent_factor", low_bound)
+    code, out, err = _run(["lagrangians", str(DATA / "twist_6.spec.json")])
+    assert code == 3 and not out
+    assert err.strip().splitlines() == [
+        "unsupported shape: degree 2 exceeds factorization bound 1"]

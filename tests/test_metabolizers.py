@@ -71,6 +71,15 @@ def test_higher_genus_definite_empty():
     assert search.complete and len(search) == 0
 
 
+def test_higher_genus_nonzero_signature_empty():
+    # T(4, 5): genus 6, indefinite V + V^T of signature -8; a metabolizer
+    # would force signature 0, so no search runs and the answer is complete
+    v = torus_knot(4, 5)
+    assert seifert.lt_signature(v, seifert.OMEGA_MINUS_ONE) == -8
+    search = higher_genus_metabolizers(v)
+    assert search.complete and len(search) == 0
+
+
 def test_higher_genus_bounded_search_flagged():
     # two identical slice blocks: deltas are not coprime, so the search
     # falls back to bounded enumeration and flags incompleteness
