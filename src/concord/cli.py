@@ -143,9 +143,9 @@ def _dispatch(args, req) -> int:
         search = mb.matrix_metabolizers(_matrix(spec), req.search_bound)
         text = [f"complete: {search.complete}"] + [
             str(list(map(list, m.basis))) for m in search]
-        _emit(args, {"name": spec.name, "complete": search.complete,
-                     "items": [[list(b) for b in m.basis] for m in search]},
-              "\n".join(text))
+        if search.reason == "budget":
+            text.insert(1, f"budget spent after {search.examined} candidates")
+        _emit(args, {"name": spec.name, **search.as_dict()}, "\n".join(text))
         return 0
     if cmd == "lagrangians":
         lags = req.lagrangians(req.module(_need_knot(spec)))

@@ -203,7 +203,13 @@ def conjugate(p: LaurentPoly) -> LaurentPoly:
     return normalize(p.substitute_inverse())
 
 
-def factor(p: LaurentPoly, max_degree: int = 32) -> PrimeFactorization:
+# The largest degree factor accepts; specs refuses Seifert matrices of
+# larger order when it parses them.
+MAX_FACTOR_DEGREE = 32
+
+
+def factor(p: LaurentPoly,
+           max_degree: int = MAX_FACTOR_DEGREE) -> PrimeFactorization:
     """Complete factorization into rationally irreducible canonical factors,
     sorted by degree and then by coefficients from the top down; the
     canonical form is factored over Z[t] by polys.factor_z."""

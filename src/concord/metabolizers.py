@@ -2,9 +2,13 @@
 
 A metabolizer is a rank-g summand of Z^{2g} on which the Seifert form
 vanishes.  At genus one the search is an exact binary-quadratic-form
-factorization, hence complete; at higher genus the complete answer is
-available for coprime block shapes, and otherwise a bounded enumeration
-runs with an explicit incompleteness flag.
+factorization, hence complete.  Above genus one the answer is complete
+for coprime block shapes, and complete and empty when an exact gate
+rules every metabolizer out: sigma(-1) != 0, or |det(V + V^T)| not a
+perfect square.  Otherwise a search bounded in the entries of the
+spanning vectors grows saturated isotropic lattices one rank at a time
+under a work budget, and its result is flagged incomplete with the
+reason: "bound", or "budget" when the budget stopped it.
 
 Derivatives are catalogue-driven: the geometric content (band cores,
 string-link data) must be declared on the knot spec; the catalogue never
@@ -15,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from operator import mul
 
 from . import intlinalg, polys, specs
 from .alexander import AlexanderModule, Submodule, present, submodule_from_vectors
@@ -24,6 +29,14 @@ from .laurent import gcd as laurent_gcd
 from .seifert import OMEGA_MINUS_ONE, SeifertMatrix, alexander_poly, lt_signature
 
 F = Fraction
+
+# The bounded metabolizer search stops once it has examined more than this
+# many candidates and reports reason "budget".  A candidate is a prefix of
+# an isotropic vector or a last entry it admits, a lattice-extension
+# candidate, or 64 vector pairs tested for orthogonality (a unit each costs
+# a few microseconds).  The largest count on the test suite and the
+# benchmark corpus is about 80000.
+SEARCH_BUDGET = 1_000_000
 
 
 class WrongGenus(ValueError):
@@ -57,12 +70,23 @@ class Metabolizer:
 class MetabolizerSearch:
     metabolizers: tuple
     complete: bool
+    reason: str | None = None     # what ended the bounded search: "bound"
+    examined: int = 0             # or "budget"; the candidates it examined
 
     def __iter__(self):
         return iter(self.metabolizers)
 
     def __len__(self):
         return len(self.metabolizers)
+
+    def as_dict(self) -> dict:
+        """The report form; reason and examined appear only when the work
+        budget stopped the search."""
+        out = {"complete": self.complete,
+               "items": [[list(b) for b in m.basis] for m in self]}
+        if self.reason == "budget":
+            out.update(reason=self.reason, examined=self.examined)
+        return out
 
 
 def _canon_vec(vec):
@@ -128,10 +152,16 @@ def _diagonal_blocks(v: SeifertMatrix):
 def higher_genus_metabolizers(v: SeifertMatrix, search_bound: int = 3):
     """Metabolizer search above genus one.
 
-    Complete for block-diagonal forms with pairwise-coprime block
-    Alexander polynomials (blockwise products of the genus-one answers)
-    and for forms of nonzero signature (empty).  Otherwise a bounded
-    primitive-frame enumeration, flagged incomplete.
+    complete=True means the list holds every metabolizer of V.  That is
+    so for block-diagonal forms with pairwise-coprime nontrivial block
+    Alexander polynomials (blockwise products of the genus-one answers),
+    and, with the list empty, for the two exact gates of Levine's
+    algebraic concordance group (1969): sigma(-1) != 0, or |det(V + V^T)|
+    not a perfect square (proofs at the gates).  Otherwise the bounded
+    search runs and the result is flagged incomplete: reason "bound" when
+    it enumerated every lattice spanned by vectors with entries in
+    [-search_bound, search_bound], "budget" when it stopped after
+    SEARCH_BUDGET candidates; examined counts the candidates.
     """
     if v.genus < 2:
         raise WrongGenus(f"genus {v.genus} matrix; need genus >= 2")
@@ -163,46 +193,240 @@ def higher_genus_metabolizers(v: SeifertMatrix, search_bound: int = 3):
     # metabolic V has signature 0
     if lt_signature(v, OMEGA_MINUS_ONE) != 0:
         return MetabolizerSearch((), complete=True)
-    return MetabolizerSearch(tuple(_bounded_search(v, search_bound)),
-                             complete=False)
+    if not _square_determinant(v):
+        return MetabolizerSearch((), complete=True)
+    return _bounded_search(v, search_bound)
 
 
-def _bounded_search(v: SeifertMatrix, bound: int):
-    n = v.size
-    g = v.genus
-    vectors = []
+def _square_determinant(v: SeifertMatrix) -> bool:
+    """Whether |det(V + V^T)| is a perfect square, as it is when V has a
+    metabolizer M.
 
-    def gen(prefix):
-        if len(prefix) == n:
-            if any(prefix) and intlinalg.is_primitive(prefix):
-                vec = intlinalg.sign_normalized(tuple(prefix))
-                if v.form(vec, vec) == 0 and vec not in seen:
-                    seen.add(vec)
-                    vectors.append(vec)
-            return
-        for x in range(-bound, bound + 1):
-            gen(prefix + [x])
+    Extend a basis of the summand M to a basis of Z^2g, with unimodular
+    change of basis P.  Then P^T V P = [[0, A], [B, C]] and
+    P^T (V + V^T) P = [[0, A + B^T], [A^T + B, C + C^T]], whose
+    determinant is (-1)^g det(A + B^T)^2; det P = +-1, so
+    |det(V + V^T)| = det(A + B^T)^2.  The determinant comes from the
+    fraction-free integer elimination."""
+    e = v.entries
+    det, _ = polys.bareiss([[[x + y] if x + y else [] for x, y in zip(row, col)]
+                            for row, col in zip(e, zip(*e))])
+    d = abs(int(det[0]))
+    return isqrt(d) ** 2 == d
 
-    seen = set()
-    gen([])
-    vectors.sort()
+
+def _bounded_search(v: SeifertMatrix, bound: int) -> MetabolizerSearch:
+    """Every metabolizer spanned by primitive isotropic vectors with
+    entries in [-bound, bound], sorted by HNF basis; complete=False
+    always, with reason "bound", or "budget" when more than SEARCH_BUDGET
+    candidates would be examined (the list then holds those found)."""
+    budget = _Budget(SEARCH_BUDGET)
     found = {}
+    try:
+        vectors = _isotropic_vectors(v, bound, budget)
+        orth = _orthogonality(v, vectors, bound, budget)
+        _grow_lattices(v, vectors, orth, budget, found)
+        reason = "bound"
+    except _Exhausted:
+        reason = "budget"
+    return MetabolizerSearch(
+        tuple(sorted(found.values(), key=lambda m: m.basis)),
+        complete=False, reason=reason, examined=budget.used)
 
-    def extend(frame, start):
-        if len(frame) == g:
-            if intlinalg.spans_summand(frame, n):
-                key = intlinalg.hermite_normal_form(frame)
-                if key not in found:
-                    found[key] = Metabolizer(
-                        v, tuple(tuple(r) for r in key))
+
+class _Exhausted(Exception):
+    pass
+
+
+class _Budget:
+    """Counts the candidates one search examines; raises _Exhausted once
+    the count passes the limit."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, count):
+        self.used += count
+        if self.used > self.limit:
+            raise _Exhausted
+
+
+def _last_coordinates(a, b, c, bound):
+    """The integers t in [-bound, bound] with a t^2 + b t + c = 0."""
+    if a == 0:
+        if b == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        roots = (-c // b,) if c % b == 0 else ()
+    else:
+        disc = b * b - 4 * a * c
+        s = isqrt(max(disc, 0))
+        if s * s != disc:
+            return ()
+        roots = {x // (2 * a) for x in (-b + s, -b - s) if x % (2 * a) == 0}
+    return sorted(t for t in roots if -bound <= t <= bound)
+
+
+def _isotropic_vectors(v: SeifertMatrix, bound: int, budget: _Budget):
+    """The primitive x in [-bound, bound]^2g, first nonzero entry positive,
+    with x^T V x = 0, in lexicographic order.
+
+    Only the sign-normalized prefixes of 2g - 1 entries are enumerated:
+    each leaves a quadratic (or linear, or constant) equation in the
+    last entry, solved exactly."""
+    e = v.entries
+    last = v.size - 1
+    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(e, zip(*e))]
+    out = []
+
+    def grow(prefix, c, lin, g):
+        # over the prefix: c = x^T V x, lin[j] = sum_i (V + V^T)[i][j] x_i,
+        # g = gcd of the entries
+        d = len(prefix)
+        if d == last:
+            # the prefix and each last entry it admits: when the equation
+            # vanishes identically that is all 2 bound + 1 of them
+            roots = _last_coordinates(e[d][d], lin[d], c, bound)
+            budget.spend(1 + len(roots))
+            for t in roots:
+                if gcd(g, t) == 1 and (g or t > 0):
+                    out.append((*prefix, t))
             return
-        for i in range(start, len(vectors)):
-            w = vectors[i]
-            if all(v.form(b, w) == 0 and v.form(w, b) == 0 for b in frame):
-                extend(frame + [w], i + 1)
+        row = sym[d]
+        for x in range(0 if g == 0 else -bound, bound + 1):
+            grow(prefix + [x], c + (e[d][d] * x + lin[d]) * x,
+                 [l + r * x for l, r in zip(lin, row)], gcd(g, x))
 
-    extend([], 0)
-    return sorted(found.values(), key=lambda m: m.basis)
+    grow([], 0, [0] * v.size, 0)
+    return out
+
+
+def _split_off(cols, k, image):
+    """Integer column operations on cols[k:] (the columns of a unimodular
+    C) that take the primitive row image = (w C)[k:] to (+-1, 0, ..., 0)."""
+    cols = list(cols)
+    image = list(image)
+    while True:
+        nz = [i for i, x in enumerate(image) if x]
+        p = min(nz, key=lambda i: abs(image[i]))
+        if len(nz) == 1:
+            break
+        for i in nz:
+            q = image[i] // image[p]
+            if i != p and q:
+                image[i] -= q * image[p]
+                cols[k + i] = [x - q * y for x, y in zip(cols[k + i], cols[k + p])]
+    cols[k], cols[k + p] = cols[k + p], cols[k]
+    return cols
+
+
+def _orthogonality(v: SeifertMatrix, vectors, bound: int, budget: _Budget):
+    """orth[i]: the bitmask of the j != i with V(x_i, x_j) = V(x_j, x_i) = 0.
+
+    Row i is one exact integer combination of packed columns: field j of
+    sum_t c_t P_t, with P_t holding entry t of every vector and
+    c = V x + k V^T x, is x_j . c, which is 0 iff both values are, since
+    |x_j . V x| < k."""
+    m = len(vectors)
+    budget.spend(m * (m - 1) // 128)
+    if not m:
+        return []
+    e = v.entries
+    cols_v = [[sum(map(mul, row, w)) for row in e] for w in vectors]
+    cols_vt = [[sum(map(mul, col, w)) for col in zip(*e)] for w in vectors]
+    k = 1 + bound * max(sum(map(abs, c)) for c in cols_v)
+    coeffs = [[a + k * b for a, b in zip(x, y)] for x, y in zip(cols_v, cols_vt)]
+    top = bound * max(sum(map(abs, c)) for c in coeffs)
+    # fields of `size` bytes, each x_j . c + half in (0, 2 half)
+    size = (top.bit_length() + 1) // 8 + 1
+    half = 1 << (8 * size - 1)
+    zero = half.to_bytes(size, "little")
+    offset = int.from_bytes(zero * m, "little")
+    packed = [int.from_bytes(b"".join((w[t] + half).to_bytes(size, "little")
+                                      for w in vectors), "little") - offset
+              for t in range(v.size)]
+    orth = []
+    for i, c in enumerate(coeffs):
+        fields = (sum(a * p for a, p in zip(c, packed) if a) + offset
+                  ).to_bytes(m * size, "little")
+        mask = 0
+        pos = fields.find(zero)
+        while pos >= 0:
+            if pos % size:
+                pos = fields.find(zero, pos + 1)
+            else:
+                mask |= 1 << (pos // size)
+                pos = fields.find(zero, pos + size)
+        orth.append(mask & ~(1 << i))
+    return orth
+
+
+def _frame_columns(vectors, frame, n):
+    """Columns of a unimodular C with (span of the frame) C = Z^k + 0; each
+    prefix of the frame spans a summand."""
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for k, i in enumerate(frame):
+        w = vectors[i]
+        cols = _split_off(cols, k, [sum(map(mul, w, c)) for c in cols[k:]])
+    return cols
+
+
+def _grow_lattices(v: SeifertMatrix, vectors, orth, budget: _Budget,
+                   found: dict):
+    """Fill found (HNF key -> Metabolizer) with the rank-g saturated
+    isotropic lattices spanned by frames of vectors.
+
+    A frame spanning a summand has every sub-frame spanning a summand: if
+    M is not saturated and w is not in QM, (M + Zw) meets QM in M, not in
+    sat(M).  So the lattices grow one rank per level through saturated
+    states only, each kept once under its HNF with a frame spanning it.
+    A state of rank k has a unimodular C with M C inside Z^k + 0; a
+    vector w orthogonal to M both ways extends it to a summand iff its
+    image (w C)[k:] in Z^n / M is primitive, and images equal up to sign
+    give the same lattice.  A state grows only by vectors of index above
+    the least last index of a frame spanning it, and a new state is kept
+    only if enough orthogonal vectors lie above that index to reach rank
+    g: every frame of a rank-g lattice still passes."""
+    n, g = v.size, v.genus
+    # [frame, least last index], under the HNF from rank 2 on; bits of
+    # masks shifted by j + 1 stand for the vectors above index j
+    states = [[(i,), i] for i in range(len(vectors))
+              if (orth[i] >> (i + 1)).bit_count() >= g - 1]
+    for k in range(1, g):
+        grown = {}
+        for frame, low in states:
+            mask = orth[frame[0]]
+            for i in frame[1:]:
+                mask &= orth[i]
+            tail = _frame_columns(vectors, frame, n)[k:]
+            bits, j = mask >> (low + 1), low
+            budget.spend(bits.bit_count())
+            images = set()
+            while bits:
+                step = (bits & -bits).bit_length()
+                bits >>= step
+                j += step
+                if k + 1 < g and (
+                        bits & (orth[j] >> (j + 1))).bit_count() < g - k - 1:
+                    continue
+                w = vectors[j]
+                image = [sum(map(mul, w, c)) for c in tail]
+                if gcd(*image) != 1:
+                    continue
+                key = intlinalg.sign_normalized(image)
+                if key in images:
+                    continue
+                images.add(key)
+                key = intlinalg.hermite_normal_form(
+                    [vectors[i] for i in frame] + [w])
+                if k + 1 == g:
+                    if key not in found:
+                        found[key] = Metabolizer(v, key)
+                elif key in grown:
+                    grown[key][1] = min(grown[key][1], j)
+                else:
+                    grown[key] = [frame + (j,), j]
+        states = grown.values()
 
 
 def metabolizer_to_lagrangian(mod: AlexanderModule, m: Metabolizer) -> Submodule:

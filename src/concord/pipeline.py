@@ -625,9 +625,7 @@ class Request:
         rho = self.rho0(spec)
         doc["rho0"] = {"mid": str(rho.mid), "rad": str(rho.rad)}
         metab_map, search = self.metabolizer_map(spec)
-        doc["metabolizers"] = {
-            "complete": search.complete,
-            "items": [[list(b) for b in m.basis] for m in search]}
+        doc["metabolizers"] = search.as_dict()
         doc["lagrangians"] = []
         for l in self.lagrangians(mod):
             entry = {"order_ideal": lrender(l.order_ideal),
@@ -766,8 +764,11 @@ def render_report(doc) -> str:
     if "alexander_polynomial" in doc:
         lines.append(f"alexander polynomial: {doc['alexander_polynomial']}")
         lines.append(f"rho0: {doc['rho0']['mid']} +- {doc['rho0']['rad']}")
-        lines.append(f"metabolizers (complete={doc['metabolizers']['complete']}):")
-        for item in doc["metabolizers"]["items"]:
+        metab = doc["metabolizers"]
+        budget = (f", budget spent after {metab['examined']} candidates"
+                  if "examined" in metab else "")
+        lines.append(f"metabolizers (complete={metab['complete']}{budget}):")
+        for item in metab["items"]:
             lines.append(f"  {item}")
         lines.append("lagrangians:")
         for l in doc["lagrangians"]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import seifert as sf
+from .laurent import MAX_FACTOR_DEGREE, UnsupportedDegree
 from .seifert import SeifertMatrix
 
 F = Fraction
@@ -359,6 +360,8 @@ def parse_knot(doc) -> KnotSpec:
         fam = ConnectedSum(sub("parts", required=True))
     elif ftype == "explicit":
         rows = _require(fam_doc, "matrix", ctx)
+        if isinstance(rows, list):
+            _check_order(len(rows), ctx)
         try:
             mat = SeifertMatrix.from_rows(rows)
         except (TypeError, ValueError) as exc:
@@ -371,9 +374,34 @@ def parse_knot(doc) -> KnotSpec:
         fam = Unknot()
     else:
         raise SchemaError(f"{ctx}: unknown family type {ftype!r}")
+    _check_order(_matrix_order(fam), ctx)
     facts = tuple(parse_fact(f) for f in _list_field(doc, "facts", ctx))
     sites = tuple(parse_site(s, ctx) for s in _list_field(doc, "sites", ctx))
     return KnotSpec(name, fam, facts, sites)
+
+
+def _matrix_order(fam) -> int:
+    """2g of the family's Seifert matrix, read off its parameters."""
+    if isinstance(fam, (Twist, GenusOne)):
+        return 2
+    if isinstance(fam, GenusTwoFig9):
+        return 4
+    if isinstance(fam, Torus):
+        return (abs(fam.p) - 1) * (abs(fam.q) - 1)
+    if isinstance(fam, ConnectedSum):
+        return sum(_matrix_order(part.family) for part in fam.parts)
+    if isinstance(fam, Explicit):
+        return fam.matrix.size
+    return 0
+
+
+def _check_order(order, context):
+    """Refuse, before any matrix is built, a Seifert matrix whose Alexander
+    polynomial may exceed the factorization bound (exit 3 in the CLI)."""
+    if order > MAX_FACTOR_DEGREE:
+        raise UnsupportedDegree(
+            f"{context}: Seifert matrix of order {order} exceeds the "
+            f"factorization bound {MAX_FACTOR_DEGREE}")
 
 
 def _rho0_term(pair, context):

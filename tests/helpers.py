@@ -577,3 +577,47 @@ def factor_sympy(p):
             if fcanon != LaurentPoly.one():
                 factors.append((fcanon, mult))
     return PrimeFactorization(ucoeff, uexp, tuple(factors))
+
+
+def bounded_search_box(v, bound):
+    """metabolizers._bounded_search as it was when it enumerated the whole
+    (2 bound + 1)^(2g) box and every index-ordered frame of isotropic
+    vectors: the differential oracle of the lattice-growing search."""
+    from concord import intlinalg
+    from concord.metabolizers import Metabolizer
+
+    n = v.size
+    g = v.genus
+    vectors = []
+
+    def gen(prefix):
+        if len(prefix) == n:
+            if any(prefix) and intlinalg.is_primitive(prefix):
+                vec = intlinalg.sign_normalized(tuple(prefix))
+                if v.form(vec, vec) == 0 and vec not in seen:
+                    seen.add(vec)
+                    vectors.append(vec)
+            return
+        for x in range(-bound, bound + 1):
+            gen(prefix + [x])
+
+    seen = set()
+    gen([])
+    vectors.sort()
+    found = {}
+
+    def extend(frame, start):
+        if len(frame) == g:
+            if intlinalg.spans_summand(frame, n):
+                key = intlinalg.hermite_normal_form(frame)
+                if key not in found:
+                    found[key] = Metabolizer(
+                        v, tuple(tuple(r) for r in key))
+            return
+        for i in range(start, len(vectors)):
+            w = vectors[i]
+            if all(v.form(b, w) == 0 and v.form(w, b) == 0 for b in frame):
+                extend(frame + [w], i + 1)
+
+    extend([], 0)
+    return sorted(found.values(), key=lambda m: m.basis)

@@ -1,7 +1,7 @@
 """CLI fuzz test: mutated copies of the golden specs and assumption files
 either run or exit with a documented code and a one-line message; and
-the exit codes of non-integral numbers and of Delta above the
-factorization bound."""
+the exit codes of non-integral numbers, of Delta above the
+factorization bound and of Seifert matrices above it."""
 
 import contextlib
 import copy
@@ -16,7 +16,7 @@ from concord import alexander, cli, laurent
 
 DATA = Path(__file__).parent / "data" / "reports"
 SPECS = sorted(DATA.glob("*.spec.json"))
-REPLACEMENTS = (5, -1, "a", [], [1], {}, None, 2.7, True, 1e400)
+REPLACEMENTS = (5, -1, "a", [], [1], {}, None, 2.7, True, 1e400, 10**9)
 MUTANTS = 150
 
 
@@ -118,3 +118,20 @@ def test_delta_above_factorization_bound_exits_3(monkeypatch):
     assert code == 3 and not out
     assert err.strip().splitlines() == [
         "unsupported shape: degree 2 exceeds factorization bound 1"]
+
+
+@pytest.mark.parametrize("family", [
+    {"type": "torus", "p": 7, "q": 8},
+    {"type": "torus", "p": -10 ** 9, "q": 3},
+    {"type": "explicit", "matrix": [[0] * 34] * 34},
+    {"type": "connected_sum", "parts": [
+        {"name": "T", "family": {"type": "torus", "p": 5, "q": 6}},
+        {"name": "T2", "family": {"type": "torus", "p": 2, "q": 15}}]}])
+def test_matrix_above_factorization_bound_exits_3(tmp_path, family):
+    # refused while parsing: T(7,8) (order 42) once spent 38 s before exit 3
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"name": "K", "family": family}))
+    code, out, err = _run(["report", str(path)])
+    assert code == 3 and not out
+    assert len(err.strip().splitlines()) == 1
+    assert "exceeds the factorization bound 32" in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from concord import alexander, metabolizers as mb, seifert, specs
+from concord import alexander, metabolizers as mb, pipeline, seifert, specs
 from concord.laurent import render
 from concord.metabolizers import (Metabolizer, NotMetabolic, NotRepresentable,
                                   RankMismatch, WrongGenus, a_band_metabolizer,
@@ -13,7 +13,7 @@ from concord.metabolizers import (Metabolizer, NotMetabolic, NotRepresentable,
                                   is_metabolizer, metabolizer_to_lagrangian)
 from concord.seifert import connected_sum, genus_one, torus_knot, twist_knot
 
-from helpers import random_metabolic
+from helpers import bounded_search_box, random_metabolic
 
 F = Fraction
 
@@ -89,6 +89,125 @@ def test_higher_genus_bounded_search_flagged():
     assert len(search) >= 4
     for m in search:
         assert is_metabolizer(v, m.basis)
+
+
+def _differential_cases():
+    rng = random.Random(2008)
+    for i in range(24):
+        v, _ = random_metabolic(rng, 2, bound=(1, 3)[i % 2])
+        yield pytest.param(v, 3, id=f"genus2-{i}")
+    # a vector whose only orthogonal partner above it comes next in order
+    sparse = seifert.SeifertMatrix.from_rows(
+        [[0, 0, 0, 0], [1, -2, -3, 0], [0, -3, -2, -1], [0, 0, 0, 0]])
+    yield pytest.param(sparse, 1, id="sparse-genus2")
+    twists = connected_sum(twist_knot(2), twist_knot(2))
+    for bound in (1, 2):
+        yield pytest.param(twists, bound, id=f"twist2-sum-bound{bound}")
+    for seed in (1, 2, 3):
+        v, _ = random_metabolic(random.Random(seed), 3)
+        yield pytest.param(v, 1, id=f"genus3-{seed}")
+    # small entries: many isotropic planes, where the look-ahead prune of
+    # the lattice search decides
+    for seed, bound in ((903, 1), (906, 1), (950, 2)):
+        v, _ = random_metabolic(random.Random(seed), 3, bound=1, conjugations=3)
+        yield pytest.param(v, bound, id=f"genus3-small-{seed}")
+    t2 = twist_knot(2)
+    yield pytest.param(connected_sum(connected_sum(t2, t2), t2), 1,
+                       id="twist2-sum3")
+    yield pytest.param(connected_sum(connected_sum(twist_knot(0),
+                                                   genus_one(0, 0)), t2), 1,
+                       id="unit-blocks-genus3")
+
+
+@pytest.mark.parametrize("v,bound", list(_differential_cases()))
+def test_bounded_search_matches_box_oracle(v, bound):
+    search = mb._bounded_search(v, bound)
+    assert list(search.metabolizers) == bounded_search_box(v, bound)
+    assert not search.complete and search.reason == "bound"
+    assert 0 < search.examined <= mb.SEARCH_BUDGET
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_genus3_search_finds_planted_metabolizer(seed):
+    v, planted = random_metabolic(random.Random(seed), 3)
+    search = higher_genus_metabolizers(v, search_bound=3)
+    assert search.reason == "bound"
+    assert mb.intlinalg.hermite_normal_form(planted) in [
+        m.basis for m in search]
+    for m in search:
+        assert is_metabolizer(v, m.basis)
+
+
+def _rebased(v):
+    """V in the basis a1 + a2, b1, a2, b2 - b1 of its first two band
+    pairs, which is symplectic and mixes the two blocks."""
+    p = [[1, 0, 0, 0], [0, 1, 0, -1], [1, 0, 1, 0], [0, 0, 0, 1]]
+    e = v.entries
+    return seifert.SeifertMatrix.from_rows(
+        [[sum(p[a][i] * e[a][b] * p[b][j] for a in range(4) for b in range(4))
+          for j in range(4)] for i in range(4)])
+
+
+def test_higher_genus_nonsquare_determinant_empty(monkeypatch):
+    # twist(1) # twist(2): sigma(-1) = 0 but |det(V + V^T)| = 5 * 9 is not a
+    # square, so no metabolizer exists and no search runs
+    v = _rebased(connected_sum(twist_knot(1), twist_knot(2)))
+    assert mb._diagonal_blocks(v) is None
+    assert seifert.lt_signature(v, seifert.OMEGA_MINUS_ONE) == 0
+    assert bounded_search_box(v, 2) == []
+
+    class Searched(Exception):
+        pass
+
+    def no_search(*args):
+        raise Searched
+
+    monkeypatch.setattr(mb, "_bounded_search", no_search)
+    search = higher_genus_metabolizers(v)
+    assert search.complete and len(search) == 0 and search.reason is None
+    # a square determinant still reaches the search
+    with pytest.raises(Searched):
+        higher_genus_metabolizers(_rebased(
+            connected_sum(twist_knot(2), twist_knot(2))))
+
+
+def test_search_budget_stops_search(monkeypatch):
+    v = connected_sum(twist_knot(2), twist_knot(2))
+    full = higher_genus_metabolizers(v, search_bound=2)
+    assert full.reason == "bound" and len(full) == 6
+    for limit in (10, full.examined - 1):
+        monkeypatch.setattr(mb, "SEARCH_BUDGET", limit)
+        search = higher_genus_metabolizers(v, search_bound=2)
+        assert not search.complete and search.reason == "budget"
+        assert search.examined > limit
+        assert set(search.metabolizers) <= set(full.metabolizers)
+        assert search.as_dict()["examined"] == search.examined
+    assert "examined" not in full.as_dict()
+
+
+def test_search_budget_counts_identically_vanishing_last_entry():
+    # with the first 2g - 1 entries zero the equation in the last entry
+    # vanishes identically: 2 * 10^9 + 1 values, counted before any is tried
+    v = connected_sum(genus_one(0, 0), genus_one(0, 0))
+    search = higher_genus_metabolizers(v, search_bound=10 ** 9)
+    assert search.reason == "budget" and len(search) == 0
+    assert search.examined == 2 * 10 ** 9 + 2
+
+
+def test_report_shows_budget_only_when_spent(monkeypatch):
+    # twist(0) has Delta = 1, so the blockwise answer is not complete
+    k = specs.KnotSpec("K", specs.ConnectedSum((
+        specs.KnotSpec("twist(0)", specs.Twist(0)),
+        specs.KnotSpec("twist(2)", specs.Twist(2)))))
+    doc = pipeline.report(k)
+    assert set(doc["metabolizers"]) == {"complete", "items"}
+    monkeypatch.setattr(mb, "SEARCH_BUDGET", 10)
+    doc = pipeline.report(k)
+    metab = doc["metabolizers"]
+    assert metab["complete"] is False and metab["reason"] == "budget"
+    assert metab["examined"] > 10
+    assert (f"budget spent after {metab['examined']} candidates"
+            in pipeline.render_report(doc))
 
 
 def test_higher_genus_unit_blocks_incomplete():
