@@ -19,17 +19,23 @@ generated by several vectors is the span of their chains, of order the
 lcm of their annihilators.  A cyclic module A = Q[t]/(Delta) has exactly
 one submodule per monic divisor f of Delta, the image f(T) A, of order
 Delta/f.
+
+Isotropy needs one Blanchfield value per module.  For a generator g of a
+cyclic A, sesquilinearity gives Bl(a f g, b f g) = a b-bar f f-bar Bl(g, g)
+(Levine, Knot modules I, 1977); so if Bl(g, g) = c/e in lowest terms,
+f(T) A is isotropic iff e divides f f-bar, that is f rev(f) in Q[t].
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
-from .laurent import LaurentPoly, normalize
+from .laurent import LaurentPoly, normalize, render
 from .laurent import factor as laurent_factor
-from .seifert import presentation_matrix
+from .seifert import alexander_poly, presentation_matrix
 
 F = Fraction
 
@@ -186,6 +192,7 @@ class AlexanderModule:
         self._u = u
         self._uinv = uinv
         self._min_poly = None
+        self._generator = None
         self._inv_cache = None
         self._bl_cache = {}
         if mode == "direct":
@@ -219,12 +226,51 @@ class AlexanderModule:
         return tuple(tuple(r) for r in t)
 
     def minimal_polynomial(self):
+        """The lcm of the unit vectors' annihilators, stopped once its
+        degree reaches dim: it divides the characteristic polynomial, so it
+        is then complete.  A unit vector whose chain already spans the
+        module is kept as the generator."""
         if self._min_poly is None:
             ann = [F(1)]
             for e in _unit_vectors(self.dim):
-                ann = _poly_lcm(ann, _krylov(self, e)[1])
+                if polys.deg(ann) == self.dim:
+                    break
+                chain, p = _krylov(self, e)
+                if len(chain) == self.dim and self._generator is None:
+                    self._generator = e
+                ann = _poly_lcm(ann, p)
             self._min_poly = ann
         return self._min_poly
+
+    def generator(self):
+        """A vector g with A = Q[t] g, found once; NotCyclic otherwise.
+
+        Smith form: the first companion basis vector of the one block.
+        Direct: the first vector whose Krylov chain has length n = dim among
+        the unit vectors, then the moment curve (1, c, ..., c^(n-1)) for
+        c = 0, 1, ...  A vector fails to generate exactly when it lies in
+        one of the maximal submodules p(T) A, one per prime factor p of
+        Delta, each a proper subspace.  A proper subspace meets the moment
+        curve in at most n - 1 points (the roots of a nonzero polynomial of
+        degree < n in c), so with k prime factors the first
+        k(n - 1) + 1 <= n(n - 1) + 1 points contain a generator.
+        """
+        if self._generator is None:
+            if not self.is_cyclic:
+                raise NotCyclic("module is not cyclic")
+            n = self.dim
+            if self._mode == "snf" or n == 0:
+                self._generator = tuple(F(int(i == 0)) for i in range(n))
+            else:
+                curve = (tuple(F(c ** i) for i in range(n))
+                         for c in range(n * (n - 1) + 1))
+                self._generator = next(
+                    (w for w in itertools.chain(_unit_vectors(n), curve)
+                     if len(_krylov(self, w)[0]) == n), None)
+                if self._generator is None:
+                    raise ArithmeticError("no generator of a cyclic module "
+                                          "on the moment curve")
+        return self._generator
 
     @property
     def is_cyclic(self):
@@ -322,8 +368,6 @@ def _direct_t_matrix(v):
 
 def present(v) -> AlexanderModule:
     """Alexander module of a Seifert matrix, dimension deg(Delta)."""
-    from .seifert import alexander_poly
-
     n = v.size
     delta = alexander_poly(v)
     if n == 0:
@@ -535,7 +579,6 @@ class Submodule:
         return tuple(x for i, x in enumerate(v) if i not in pivots)
 
     def sort_key(self):
-        from .laurent import render
         return (self.dim, render(self.order_ideal),
                 tuple(tuple(str(c) for c in row) for row in self.basis))
 
@@ -662,11 +705,26 @@ def _kernel(rows, n):
 
 
 def is_isotropic(mod, p: Submodule) -> bool:
-    for a in p.basis:
-        for b in p.basis:
-            if not mod.blanchfield(a, b).is_zero:
-                return False
-    return True
+    """Whether Bl vanishes on P, decided from one Blanchfield value.
+
+    On a cyclic module A = Q[t]/(Delta) with generator g, P = f(T) A for
+    f = Delta / order(P), and sesquilinearity gives
+    Bl(a f g, b f g) = a b-bar f f-bar Bl(g, g) (Levine, Knot modules I).
+    With Bl(g, g) = c/e in lowest terms, P is isotropic iff e divides
+    f f-bar = t^(-deg f) f rev(f): the case a = b = 1 is necessary, and it
+    makes every other value a Laurent multiple of an integral one.  e has
+    no factor t, so e | f rev(f) in Q[t] is the test; Bl(g, g) = 0 (e = 1)
+    makes every submodule isotropic.  Raises UnsupportedModule off cyclic
+    modules.
+    """
+    if not mod.is_cyclic:
+        raise UnsupportedModule("isotropy is decided on cyclic modules only")
+    g = mod.generator()
+    e = list(mod.blanchfield(g, g).den)
+    delta, _ = mod.delta.to_dense()
+    order, _ = p.order_ideal.to_dense()
+    f = polys.exact_div(delta, order)
+    return not polys.rem(polys.mul(f, f[::-1]), e)
 
 
 def is_lagrangian(mod, p: Submodule) -> bool:
@@ -674,7 +732,10 @@ def is_lagrangian(mod, p: Submodule) -> bool:
 
 
 def isotropic_submodules(mod):
-    """All isotropic submodules; raises UnsupportedModule off-catalogue."""
+    """All isotropic submodules: the images f(T) A of a cyclic module with
+    e | f rev(f), e the reduced denominator of Bl(g, g) for a generator g
+    (`is_isotropic` has the proof).  Raises UnsupportedModule off-catalogue.
+    """
     try:
         subs = submodules_cyclic(mod)
     except NotCyclic as exc:

@@ -504,6 +504,31 @@ def closure_submodule(mod, gens):
     return Submodule(mod, basis, normalize(LaurentPoly.from_dense(ann)))
 
 
+def full_minimal_polynomial(mod):
+    """The lcm of the annihilators of every unit vector, with no early exit."""
+    ann = [F(1)]
+    for i in range(mod.dim):
+        e = tuple(F(int(i == j)) for j in range(mod.dim))
+        ann = _lcm(ann, vector_annihilator(mod, e))
+    return ann
+
+
+def blanchfield_pairs_isotropic(mod, p):
+    """Bl(a, b) = 0 for every pair of basis vectors of P: the isotropy test
+    that the one-value criterion on cyclic modules replaced.  It holds on
+    any module, cyclic or not."""
+    return all(mod.blanchfield(a, b).is_zero for a in p.basis for b in p.basis)
+
+
+class FreeMatrix(SeifertMatrix):
+    """Any square integer matrix, presented like a Seifert matrix but with
+    no check that V - V^T is symplectic: det(V - V^T) may differ from +-1,
+    the order may be odd and the Blanchfield form may be degenerate."""
+
+    def __post_init__(self):
+        pass
+
+
 def find_generator(mod):
     """A vector whose Krylov span is the whole (cyclic) module, from a
     fixed candidate list."""

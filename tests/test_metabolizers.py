@@ -13,7 +13,8 @@ from concord.metabolizers import (Metabolizer, NotMetabolic, NotRepresentable,
                                   is_metabolizer, metabolizer_to_lagrangian)
 from concord.seifert import connected_sum, genus_one, torus_knot, twist_knot
 
-from helpers import bounded_search_box, random_metabolic
+from helpers import (blanchfield_pairs_isotropic, bounded_search_box,
+                     random_metabolic)
 
 F = Fraction
 
@@ -361,11 +362,22 @@ def test_antiderivative_errors():
 
 def test_random_metabolic_images_isotropic():
     rng = random.Random(31)
+    noncyclic = 0
     for _ in range(25):
         v, basis = random_metabolic(rng, rng.choice((1, 2)))
         assert is_metabolizer(v, basis)
         mod = alexander.present(v)
         lag = metabolizer_to_lagrangian(mod, Metabolizer(v, basis))
+        assert blanchfield_pairs_isotropic(mod, lag)
+        if mod.dim == 2 * v.genus:
+            assert 2 * lag.dim == mod.dim
+        if not mod.is_cyclic:
+            # isotropy from one Blanchfield value needs a cyclic module
+            noncyclic += 1
+            with pytest.raises(alexander.UnsupportedModule):
+                alexander.is_isotropic(mod, lag)
+            continue
         assert alexander.is_isotropic(mod, lag)
         if mod.dim == 2 * v.genus:
             assert alexander.is_lagrangian(mod, lag)
+    assert noncyclic >= 1
