@@ -29,12 +29,12 @@ f(T) A is isotropic iff e divides f f-bar, that is f rev(f) in Q[t].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
 from .laurent import LaurentPoly, normalize, render
 from .laurent import factor as laurent_factor
+from .records import field, frozen
 from .seifert import alexander_poly, presentation_matrix
 
 F = Fraction
@@ -395,7 +395,7 @@ def present(v) -> AlexanderModule:
 # Blanchfield values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class BlanchfieldValue:
     """Class of num/den in Q(t)/Q[t,t^-1]: gcd(num, den) = 1,
     deg num < deg den, den primitive integer with positive leading term."""
@@ -552,11 +552,11 @@ def _reduce(rref_basis, vec):
     return v
 
 
-@dataclass(frozen=True)
+@frozen
 class Submodule:
     """T-invariant subspace with its order ideal (annihilator polynomial)."""
 
-    module: AlexanderModule = field(compare=False, hash=False)
+    module: AlexanderModule = field(compare=False)
     basis: tuple  # canonical RREF rows
     order_ideal: LaurentPoly
 
@@ -661,11 +661,6 @@ def submodules_cyclic(mod):
         out.append(Submodule(mod, basis,
                              normalize(LaurentPoly.from_dense(order))))
     return sorted(out, key=lambda s: s.sort_key())
-
-
-def proper_submodules(mod):
-    """Submodules other than the whole module (the zero module counts)."""
-    return [s for s in submodules_cyclic(mod) if s.dim < mod.dim]
 
 
 def orthogonal_complement(mod, p: Submodule) -> Submodule:

@@ -14,11 +14,11 @@ assumptions it consumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import alexander, seifert, specs
 from .alexander import Submodule
+from .records import field, frozen
 
 F = Fraction
 
@@ -39,11 +39,11 @@ class UnsupportedLink(ValueError):
 # Atoms and expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Atom:
     kind: str   # "rho0" | "rho1"
     name: str   # e.g. "rho0(J1)", "rho1(9_46)"
-    spec: object = field(default=None, compare=False, hash=False)
+    spec: object = field(default=None, compare=False)
 
     def sort_key(self):
         return (0 if self.kind == "rho1" else 1, self.name)
@@ -57,7 +57,7 @@ def rho1_atom(name: str, spec=None) -> Atom:
     return Atom("rho1", f"rho1({name})", spec)
 
 
-@dataclass(frozen=True)
+@frozen
 class SigExpr:
     """Canonical rational-linear combination of atoms plus a constant."""
 
@@ -152,7 +152,7 @@ class SigExpr:
 # Intervals and assumptions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Interval:
     """Extended interval with open/closed finite endpoints; None = infinite."""
 
@@ -217,7 +217,7 @@ _SIGN_INTERVALS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class Assumption:
     kind: str        # value | interval | sign
     value: str = ""  # rational string or sign tag
@@ -323,7 +323,7 @@ def _assumption(name, kind, value="", lo=None, hi=None, provenance=""):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class EvalResult:
     """Outcome of evaluating a SigExpr: a certified enclosure when fully
     resolved, otherwise the residual symbolic atoms alongside the
@@ -391,19 +391,19 @@ def evaluate(expr: SigExpr, assumptions: Assumptions | None = None,
 # Infection descriptions and first-order signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class ResolvedSite:
     eta: tuple | None          # module coordinates; None = second-derived
     infect: specs.KnotSpec
 
 
-@dataclass(frozen=True)
+@frozen
 class InfectionDesc:
     """A knot presented as infections on a base knot whose metabelian
     base values are declared per submodule."""
 
     base: specs.KnotSpec
-    module: alexander.AlexanderModule = field(compare=False, hash=False)
+    module: alexander.AlexanderModule = field(compare=False)
     base_terms: tuple = ()     # ((submodule basis, SigExpr), ...)
     sites: tuple = ()          # ResolvedSites
 

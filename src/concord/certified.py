@@ -8,15 +8,16 @@ point anywhere, so enclosures are proofs, not estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .records import frozen
+
 F = Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class CertifiedReal:
     """Closed interval [mid - rad, mid + rad], both endpoints rational."""
 

@@ -9,10 +9,10 @@ the Fox-Milnor test and coprime module decompositions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
+from .records import frozen
 
 F = Fraction
 
@@ -152,7 +152,7 @@ class LaurentPoly:
         return sum((v * x ** k for k, v in self._c.items()), F(0))
 
 
-@dataclass(frozen=True)
+@frozen
 class PrimeFactorization:
     """unit_coeff * t**unit_exp * prod(f**m for f, m in factors) == input."""
 

@@ -17,7 +17,6 @@ invents geometry it was not given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
@@ -26,6 +25,7 @@ from . import intlinalg, polys, specs
 from .alexander import AlexanderModule, Submodule, present, submodule_from_vectors
 from .laurent import LaurentPoly
 from .laurent import gcd as laurent_gcd
+from .records import frozen
 from .seifert import OMEGA_MINUS_ONE, SeifertMatrix, alexander_poly, lt_signature
 
 F = Fraction
@@ -56,7 +56,7 @@ class RankMismatch(ValueError):
     """Supplied abelian map rank is incompatible with deg Delta."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Metabolizer:
     matrix: SeifertMatrix
     basis: tuple  # g primitive integer vectors, canonical sign
@@ -66,7 +66,7 @@ class Metabolizer:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
+@frozen
 class MetabolizerSearch:
     metabolizers: tuple
     complete: bool
@@ -439,7 +439,7 @@ def metabolizer_to_lagrangian(mod: AlexanderModule, m: Metabolizer) -> Submodule
 # Derivatives
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class DerivativeLink:
     """A derivative link read off the family catalogue: component knot
     types, declared inter-component structure, and the canonical abelian

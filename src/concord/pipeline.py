@@ -20,13 +20,13 @@ residual atoms listed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from . import alexander, calculus, metabolizers as mb, seifert as sf, specs
 from .calculus import Assumptions, EvalResult, SigExpr, rho0_atom, rho1_atom
 from .laurent import render as lrender
+from .records import field, frozen
 from .specs import KnotSpec, LinkSpec, SchemaError
 
 F = Fraction
@@ -46,7 +46,7 @@ OPEN_CHOICE_NOTE = (
     "link) is not known; this tool only reports the catalogued choices")
 
 
-@dataclass(frozen=True)
+@frozen
 class Verdict:
     level: str            # zeroth | first | second
     conclusion: str       # NotSlice | Inconclusive | ConsistentWithSlice
@@ -62,18 +62,18 @@ class Verdict:
                 "residuals": [a.name for a in self.residuals]}
 
 
-@dataclass(frozen=True)
+@frozen
 class FirstOrderEntry:
-    submodule: alexander.Submodule = field(compare=False, hash=False)
+    submodule: alexander.Submodule = field(compare=False)
     expr: SigExpr
     route: str                # calculus | derivative | opaque | degenerate
     metabolizer: object = None
     derivative: object = None
 
 
-@dataclass(frozen=True)
+@frozen
 class SecondOrderEntry:
-    lagrangian: alexander.Submodule = field(compare=False, hash=False)
+    lagrangian: alexander.Submodule = field(compare=False)
     first_order_expr: SigExpr = SigExpr.zero()
     certified_nonzero: bool = False
     metabolizer: object = None
@@ -82,7 +82,7 @@ class SecondOrderEntry:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class SecondOrderSet:
     entries: tuple
     degenerate: bool = False   # trivial Alexander polynomial
@@ -93,7 +93,7 @@ class SecondOrderSet:
                 for x in e.exprs]
 
 
-@dataclass(frozen=True)
+@frozen
 class CooperRow:
     subject: str
     components: int

@@ -13,13 +13,13 @@ polynomial in x = t + 1/t, arc lengths are certified arccos enclosures.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd
 
 from . import certified, intlinalg, polys
 from .certified import CertifiedReal
 from .laurent import LaurentPoly, normalize
+from .records import frozen
 
 F = Fraction
 
@@ -63,7 +63,7 @@ def _block_form_ok(j):
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class SeifertMatrix:
     """2g x 2g integer Seifert matrix with symplectic V - V^T."""
 
@@ -222,7 +222,7 @@ def alexander_poly(v: SeifertMatrix) -> LaurentPoly:
 # Unit circle points and exact signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class UnitCirclePoint:
     """omega = (1 + is)/(1 - is) for rational s, or the point omega = -1."""
 
@@ -334,7 +334,7 @@ def lt_signature(v: SeifertMatrix, omega: UnitCirclePoint) -> int:
 # Jump sets: unit-circle roots of the Alexander polynomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class JumpPoint:
     """Isolating rational interval in x = omega + conj(omega) for one root
     of the symmetrized Alexander polynomial; exact roots have x_lo == x_hi."""
@@ -348,7 +348,7 @@ class JumpPoint:
         return self.x_lo == self.x_hi
 
 
-@dataclass(frozen=True)
+@frozen
 class JumpSet:
     points: tuple  # tuple[JumpPoint], ascending in x
 

@@ -11,11 +11,11 @@ in the commutator subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import seifert as sf
 from .laurent import MAX_FACTOR_DEGREE, UnsupportedDegree
+from .records import frozen
 from .seifert import SeifertMatrix
 
 F = Fraction
@@ -29,7 +29,7 @@ class SchemaError(ValueError):
 # Facts and infection sites
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Fact:
     """A declared input with provenance, e.g. a known vanishing rho-value
     or the existence of slice disks behind the band Lagrangians."""
@@ -42,7 +42,7 @@ class Fact:
     provenance: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class Site:
     """Infection site: a curve in the commutator subgroup with its
     infecting knot.  The curve is given in module coordinates, as a band
@@ -59,20 +59,20 @@ class Site:
 # Family constructors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Twist:
     tw: int
     cores: tuple = ()       # optionally two KnotSpecs tied into the bands
     base_name: str = ""     # name of the uninfected base knot
 
 
-@dataclass(frozen=True)
+@frozen
 class Torus:
     p: int
     q: int
 
 
-@dataclass(frozen=True)
+@frozen
 class GenusOne:
     """Doubled-band genus-one shape [[0, l], [l+1, tw]] with the two band
     cores tied into the components of a string link."""
@@ -84,7 +84,7 @@ class GenusOne:
     base_name: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class GenusTwoFig9:
     """Two genus-one blocks (twists l1, l2, both untwisted second bands)
     with declared core data L, LL and the doubling arc B."""
@@ -96,29 +96,29 @@ class GenusTwoFig9:
     B: "KnotSpec | None" = None
 
 
-@dataclass(frozen=True)
+@frozen
 class ConnectedSum:
     parts: tuple = ()  # KnotSpecs
 
 
-@dataclass(frozen=True)
+@frozen
 class Explicit:
     matrix: SeifertMatrix
     band_cores: tuple = ()  # KnotSpecs on the a-bands (even indices)
     base_name: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class Abstract:
     """A knot known only by name; its rho0 stays a symbol."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Unknot:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class KnotSpec:
     name: str
     family: object
@@ -130,13 +130,13 @@ class KnotSpec:
             raise SchemaError("knot spec needs a name")
 
 
-@dataclass(frozen=True)
+@frozen
 class LinkInfection:
     infect: KnotSpec
     nontrivial: bool = True   # image of the curve under the abelian map
 
 
-@dataclass(frozen=True)
+@frozen
 class LinkSpec:
     """An ordered link with trivial linking numbers plus declared class
     tags: split, boundary, the clasped two-component pattern, or an

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from concord import polys
 from concord.alexander import (BL_ZERO, NotCyclic, Submodule, _pivot, _reduce,
-                               _reduce_mod_ring, _rref)
+                               _reduce_mod_ring, _rref, submodules_cyclic)
 from concord.laurent import LaurentPoly, factor, normalize
 from concord.seifert import SeifertMatrix, presentation_matrix
 
@@ -511,6 +511,11 @@ def full_minimal_polynomial(mod):
         e = tuple(F(int(i == j)) for j in range(mod.dim))
         ann = _lcm(ann, vector_annihilator(mod, e))
     return ann
+
+
+def proper_submodules(mod):
+    """Submodules other than the whole module (the zero module counts)."""
+    return [s for s in submodules_cyclic(mod) if s.dim < mod.dim]
 
 
 def blanchfield_pairs_isotropic(mod, p):

@@ -6,13 +6,14 @@ import pytest
 from concord.alexander import (NotCyclic, UnsupportedModule, is_isotropic,
                                is_lagrangian, isotropic_submodules,
                                lagrangians, orthogonal_complement, present,
-                               proper_submodules, submodule_from_vectors,
-                               submodules_cyclic, zero_submodule)
+                               submodule_from_vectors, submodules_cyclic,
+                               zero_submodule)
 from concord.laurent import LaurentPoly, normalize, render
 from concord.seifert import (connected_sum, genus_one, stabilize, torus_knot,
                              twist_knot, unknot)
 
-from helpers import oracle_blanchfield, qi_charpoly, random_seifert
+from helpers import (oracle_blanchfield, proper_submodules, qi_charpoly,
+                     random_seifert)
 
 F = Fraction
 
