@@ -1,16 +1,32 @@
 """The rational Alexander module of a knot, presented from a Seifert matrix.
 
-The module Q[t,t^-1]^{2g} / (tV - V^T) is brought to diagonal form by a
-Smith normal form computation over Q[t] with row transforms tracked, then
+The module is Q[t,t^-1]^n / (tV - V^T) for a Seifert matrix V of order n
+with Delta = det(tV - V^T) nonzero (Levine, Knot modules I, 1977).  It is
 modeled as a plain rational vector space of dimension deg(Delta) carrying
-an invertible "multiply by t" matrix.  Surface classes include via
+an invertible "multiply by t" matrix T, reached from the constant vectors.
+
+Let c be the first integer >= 1 with Delta(c) != 0 (c = 1 for a Seifert
+matrix, since det(V - V^T) = +-1), P = cV - V^T, A = V P^-1 and
+B = V^T P^-1 = cA - I.  Then tV - V^T = P(I + (t - c)M) with M = P^-1 V,
+so x |-> P^-1 x identifies the module with the cokernel of I + (t - c)M.
+On the nilpotent Fitting part of M, I + (t - c)M is a unit over Q[t]; on
+the invertible part the cokernel is Q^r, the constant vectors, with
+t = c - M^-1, and inverting t removes the generalized kernel of cM - I.
+Back in x = P y: the constant vectors map onto the module with kernel
+K = ker A^n + ker B^n, the generalized kernel of AB, and the stable image
+W = im(A^n B^n) is a complement on which t V u = V^T u.  So
+dim W = deg Delta.  Coordinates are taken in the RREF basis of W: the
+class of x is the pivot entries of its W-component along K.  When
+det V != 0 (deg Delta = 2g), K = 0, W = Q^n and T = V^T V^-1; singular V
+arise under S-equivalence, for instance by stabilization (Trotter, On
+S-equivalence of Seifert matrices, 1973).  Surface classes include via
 v |-> (V - V^T) v; that convention is what makes metabolizer images
 isotropic for the Blanchfield form (validated by the test suite).
 
 Blanchfield values live in Q(t)/Q[t,t^-1].  They are computed over the
 single denominator d = det(tV - V^T), from the adjugate-style matrix R
-with (tV - V^T)^{-1} = R/d, and stored as a reduced numerator of degree
-< deg(denominator).
+with (tV - V^T)^{-1} = R/d, on the constant representatives in W, and
+stored as a reduced numerator of degree < deg(denominator).
 
 Submodules are T-invariant subspaces stored as canonical RREF bases with
 their order ideals.  One Krylov elimination (`_krylov`) gives both the
@@ -49,181 +65,34 @@ class UnsupportedModule(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Q[t] with tracked row transforms
-# ---------------------------------------------------------------------------
-
-def smith_form_poly(mat):
-    """(diag, U, Uinv) with U * mat * (column ops) diagonal, d_1 | d_2 | ...
-
-    Only row transforms are tracked: the cokernel isomorphism is
-    [x] -> [U x], with inverse [z] -> [Uinv z].
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    a = [[list(e) for e in row] for row in mat]
-    u = [[[F(1)] if i == j else [] for j in range(rows)] for i in range(rows)]
-    uinv = [[[F(1)] if i == j else [] for j in range(rows)] for i in range(rows)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_addmul(i, j, q):
-        # row_i += q * row_j; inverse transform lands in Uinv columns
-        a[i] = [polys.add(a[i][k], polys.mul(q, a[j][k])) for k in range(cols)]
-        u[i] = [polys.add(u[i][k], polys.mul(q, u[j][k])) for k in range(rows)]
-        for r in uinv:
-            r[j] = polys.sub(r[j], polys.mul(q, r[i]))
-
-    def row_scale(i, c):
-        a[i] = [polys.scale(p, c) for p in a[i]]
-        u[i] = [polys.scale(p, c) for p in u[i]]
-        ic = 1 / c
-        for r in uinv:
-            r[i] = polys.scale(r[i], ic)
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def col_addmul(i, j, q):
-        for row in a:
-            row[i] = polys.add(row[i], polys.mul(q, row[j]))
-
-    def row_primitive(i):
-        # rescale so the row's coefficients are coprime integers; keeps
-        # the fraction sizes from exploding during elimination
-        coeffs = [c for p in a[i] for c in p]
-        if coeffs:
-            ratio = polys.primitive_positive(coeffs)[-1] / coeffs[-1]
-            if ratio != 1:
-                row_scale(i, ratio)
-
-    t = 0
-    while t < min(rows, cols):
-        for i in range(t, rows):
-            row_primitive(i)
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if not polys.is_zero(a[i][j]):
-                    d = polys.deg(a[i][j])
-                    if best is None or d < best:
-                        best, piv = d, (i, j)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            moved = False
-            for i in range(t + 1, rows):
-                if polys.is_zero(a[i][t]):
-                    continue
-                q, _ = polys.divmod_poly(a[i][t], a[t][t])
-                row_addmul(i, t, polys.neg(q))
-                row_primitive(i)
-                if not polys.is_zero(a[i][t]):
-                    row_swap(t, i)
-                    moved = True
-            for j in range(t + 1, cols):
-                if polys.is_zero(a[t][j]):
-                    continue
-                q, _ = polys.divmod_poly(a[t][j], a[t][t])
-                col_addmul(j, t, polys.neg(q))
-                if not polys.is_zero(a[t][j]):
-                    col_swap(t, j)
-                    moved = True
-            if not moved:
-                break
-        # pivot must divide everything that remains
-        fixed = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if not polys.is_zero(polys.rem(a[i][j], a[t][t])):
-                    row_addmul(t, i, [F(1)])
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        row_scale(t, 1 / a[t][t][-1])
-        t += 1
-    diag = [a[i][i] for i in range(min(rows, cols)) if not polys.is_zero(a[i][i])]
-    return diag, u, uinv
-
-
-def _poly_matvec(mat, vec):
-    n = len(mat)
-    out = []
-    for i in range(n):
-        acc = []
-        for j in range(len(vec)):
-            if polys.is_zero(mat[i][j]) or polys.is_zero(vec[j]):
-                continue
-            acc = polys.add(acc, polys.mul(mat[i][j], vec[j]))
-        out.append(acc)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # The module
 # ---------------------------------------------------------------------------
 
 class AlexanderModule:
-    """Rational vector space with invertible t-action, plus the hooks back
-    into the Seifert presentation needed for the Blanchfield pairing.
+    """The module as the subspace W of constant vectors, in coordinates on
+    its RREF basis, with T the matrix of t; plus the hooks back into the
+    Seifert presentation needed for the Blanchfield pairing.
 
-    Two models are used.  When deg Delta = 2g (the generic case, det V
-    nonzero) the constant vectors already span the cokernel and t acts by
-    V^T V^{-1}: classes and representatives are the identity on constant
-    vectors.  Otherwise a Smith normal form over Q[t] with tracked row
-    transforms diagonalizes the presentation.
+    With c, P = cV - V^T, A = V P^-1 and B = cA - I as in the module
+    docstring, tV - V^T = P(I + (t - c)M) for M = P^-1 V, so the constant
+    vectors map onto the module with kernel K = ker A^n + ker B^n and
+    complement W = im(A^n B^n), on which t V u = V^T u.  The class of a
+    constant vector x is the pivot entries of its W-component along K.
+    When det V != 0, K = 0, the basis of W is the identity and
+    T = V^T V^-1: the class of x is x.
     """
 
-    def __init__(self, seifert_matrix, delta, mode, *, t_matrix=None,
-                 diag=None, u=None, uinv=None):
+    def __init__(self, seifert_matrix, delta, t_matrix, split=None):
         self.V = seifert_matrix
         self.delta = delta
-        self._mode = mode          # "direct" | "snf"
-        self._u = u
-        self._uinv = uinv
+        # (RREF rows of W, sparse rows of x |-> class of x); None when K = 0
+        self._split = split
+        self.T = t_matrix
+        self.dim = len(t_matrix)
         self._min_poly = None
         self._generator = None
         self._inv_cache = None
         self._bl_cache = {}
-        if mode == "direct":
-            self.blocks = None
-            self.T = t_matrix
-            self.dim = len(t_matrix)
-        else:
-            self.blocks = []  # list of (snf index, monic invariant factor)
-            for idx, d in enumerate(diag or []):
-                vpow = 0
-                dd = list(d)
-                while dd and dd[0] == 0:
-                    dd.pop(0)
-                    vpow += 1
-                if polys.deg(dd) >= 1:
-                    self.blocks.append((idx, polys.monic(dd)))
-            self.dim = sum(polys.deg(d) for _, d in self.blocks)
-            self.T = self._companion_t()
-
-    def _companion_t(self):
-        n = self.dim
-        t = [[F(0)] * n for _ in range(n)]
-        base = 0
-        for _, d in self.blocks:
-            k = polys.deg(d)
-            for j in range(k - 1):
-                t[base + j + 1][base + j] = F(1)
-            for i in range(k):
-                t[base + i][base + k - 1] = -d[i]
-            base += k
-        return tuple(tuple(r) for r in t)
 
     def minimal_polynomial(self):
         """The lcm of the unit vectors' annihilators, stopped once its
@@ -245,9 +114,8 @@ class AlexanderModule:
     def generator(self):
         """A vector g with A = Q[t] g, found once; NotCyclic otherwise.
 
-        Smith form: the first companion basis vector of the one block.
-        Direct: the first vector whose Krylov chain has length n = dim among
-        the unit vectors, then the moment curve (1, c, ..., c^(n-1)) for
+        The first vector whose Krylov chain has length n = dim among the
+        unit vectors, then the moment curve (1, c, ..., c^(n-1)) for
         c = 0, 1, ...  A vector fails to generate exactly when it lies in
         one of the maximal submodules p(T) A, one per prime factor p of
         Delta, each a proper subspace.  A proper subspace meets the moment
@@ -259,58 +127,47 @@ class AlexanderModule:
             if not self.is_cyclic:
                 raise NotCyclic("module is not cyclic")
             n = self.dim
-            if self._mode == "snf" or n == 0:
-                self._generator = tuple(F(int(i == 0)) for i in range(n))
-            else:
-                curve = (tuple(F(c ** i) for i in range(n))
-                         for c in range(n * (n - 1) + 1))
-                self._generator = next(
-                    (w for w in itertools.chain(_unit_vectors(n), curve)
-                     if len(_krylov(self, w)[0]) == n), None)
-                if self._generator is None:
-                    raise ArithmeticError("no generator of a cyclic module "
-                                          "on the moment curve")
+            curve = (tuple(F(c ** i) for i in range(n))
+                     for c in range(n * (n - 1) + 1))
+            self._generator = next(
+                (w for w in itertools.chain(_unit_vectors(n), curve)
+                 if len(_krylov(self, w)[0]) == n), None)
+            if self._generator is None:
+                raise ArithmeticError("no generator of a cyclic module "
+                                      "on the moment curve")
         return self._generator
 
     @property
     def is_cyclic(self):
-        if self.dim == 0:
-            return True
-        if self._mode == "snf":
-            return len(self.blocks) <= 1
         return polys.deg(self.minimal_polynomial()) == self.dim
 
     # -- coordinates ------------------------------------------------------
 
     def class_of_polyvec(self, pvec):
-        """Class of a Q[t]-vector in module coordinates."""
-        if self._mode == "direct":
-            deg = max((polys.deg(p) for p in pvec), default=-1)
-            acc = tuple(F(0) for _ in range(self.dim))
-            for k in range(deg, -1, -1):
-                acc = self.t_action(acc)
-                acc = tuple(a + (pvec[i][k] if k <= polys.deg(pvec[i]) else 0)
-                            for i, a in enumerate(acc))
-            return acc
-        z = _poly_matvec(self._u, [list(p) for p in pvec])
-        coords = []
-        for idx, d in self.blocks:
-            r = polys.rem(z[idx], d)
-            k = polys.deg(d)
-            coords.extend([r[i] if i < len(r) else F(0) for i in range(k)])
-        return tuple(coords)
+        """Class of a Q[t]-vector in module coordinates: the sum of
+        T^k [p_k] over its coefficient vectors p_k, by Horner."""
+        deg = max((polys.deg(p) for p in pvec), default=-1)
+        acc = tuple(F(0) for _ in range(self.dim))
+        for k in range(deg, -1, -1):
+            term = _class(self._split, [p[k] if k <= polys.deg(p) else 0
+                                        for p in pvec])
+            acc = tuple(a + b for a, b in zip(self.t_action(acc), term))
+        return acc
+
+    def _lift(self, coords):
+        """The constant vector sum_j coords_j w_j representing a class."""
+        if self._split is None:
+            return list(coords)
+        vec = [F(0)] * self.V.size
+        for c, w in zip(coords, self._split[0]):
+            if c:
+                vec = [x + c * y for x, y in zip(vec, w)]
+        return vec
 
     def rep_of(self, coords):
-        """A presentation-level polynomial vector representing the class."""
-        if self._mode == "direct":
-            return [polys.const(c) for c in coords]
-        z = [[] for _ in range(self.V.size)]
-        base = 0
-        for idx, d in self.blocks:
-            k = polys.deg(d)
-            z[idx] = polys.trim([F(c) for c in coords[base:base + k]])
-            base += k
-        return _poly_matvec(self._uinv, z)
+        """A presentation-level polynomial vector representing the class:
+        constant, the lift of the coordinates to W."""
+        return [polys.const(c) for c in self._lift(coords)]
 
     def incl_surface(self, v):
         """Image of a surface class v in Z^{2g}: the class of (V - V^T) v."""
@@ -354,41 +211,86 @@ class AlexanderModule:
         return val
 
 
-def _direct_t_matrix(v):
-    """V^T V^{-1} over the rationals; None when V is singular."""
-    n = v.size
-    rows = _rref([list(v.entries[i]) + [int(i == j) for j in range(n)]
-                  for i in range(n)], n)
-    if any(_pivot(row, n) is None for row in rows):
-        return None
-    vinv = [row[n:] for row in rows]
-    return tuple(tuple(sum(F(v.entries[k][i]) * vinv[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _eliminate(mat):
+    """Gauss-Jordan on [M | I] for a square M: rows [R | L] with L M = R
+    the RREF of M, then the rows with R = 0 (`_rref`).  L = M^-1 when M
+    is invertible."""
+    n = len(mat)
+    return _rref([list(row) + [int(i == j) for j in range(n)]
+                  for i, row in enumerate(mat)], n)
+
+
+def _fitting(e, delta):
+    """(W, coordinate map) for a singular V with entries e: the RREF rows
+    of the stable image W = im (AB)^n, for the first c >= 1 with
+    Delta(c) != 0 (module docstring), and the sparse rows of the map taking
+    x to the pivot entries of its component in W along the generalized
+    kernel K of AB."""
+    n = len(e)
+    c = next(c for c in itertools.count(1) if delta.evaluate(c))
+    p = [[c * e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
+    a = _matmul(e, [row[n:] for row in _eliminate(p)])
+    ab = _matmul(a, [[c * x - (i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(a)])
+    power, rank = ab, n
+    while True:
+        w_basis = _rref(list(zip(*power)), n)
+        if len(w_basis) == rank:
+            break
+        rank = len(w_basis)
+        power = _matmul(ab, power)
+    kernel = _kernel(power, n)
+    # class of x: the last dim W entries of x in the basis K + W of Q^n
+    inverse = _eliminate([[b[i] for b in (*kernel, *w_basis)]
+                          for i in range(n)])
+    if len(kernel) + len(w_basis) != n or any(
+            _pivot(row, n) is None for row in inverse):
+        raise ArithmeticError("K and W do not split the constant vectors")
+    return w_basis, tuple(tuple((k, c) for k, c in enumerate(row[n:]) if c)
+                          for row in inverse[len(kernel):])
 
 
 def present(v) -> AlexanderModule:
     """Alexander module of a Seifert matrix, dimension deg(Delta)."""
     n = v.size
+    e = v.entries
     delta = alexander_poly(v)
-    if n == 0:
-        return AlexanderModule(v, delta, "direct", t_matrix=())
-    if delta.span == n:
-        t_matrix = _direct_t_matrix(v)
-        if t_matrix is None:
-            raise ArithmeticError("deg Delta = 2g forces V invertible")
-        return AlexanderModule(v, delta, "direct", t_matrix=t_matrix)
-    diag, u, uinv = smith_form_poly(presentation_matrix(v))
-    mod = AlexanderModule(v, delta, "snf", diag=diag, u=u, uinv=uinv)
-    span = delta.span
-    if mod.dim != span:
-        raise ArithmeticError(
-            f"presentation rank {mod.dim} disagrees with deg Delta = {span}")
-    prod = LaurentPoly.one()
-    for _, d in mod.blocks:
-        prod = prod * LaurentPoly.from_dense(d)
-    if normalize(prod) != delta:
-        raise ArithmeticError("invariant factors do not recompose Delta")
-    return mod
+    d = delta.span
+    if d == n:
+        # det V != 0, the leading coefficient of Delta: ker A = P ker V = 0
+        # and likewise for B, so K = 0, W = Q^n and the class of x is x
+        split, w_cols = None, [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        split = _fitting(e, delta)
+        if len(split[0]) != d:
+            raise ArithmeticError(
+                f"dim W = {len(split[0])} disagrees with deg Delta = {d}")
+        w_cols = [[w[i] for w in split[0]] for i in range(n)]
+    # V U = (w_1 ... w_d), with the free entries of U zero: W lies in
+    # im A = im V
+    u = [[F(0)] * d for _ in range(n)]
+    for row in _rref([list(e[i]) + w_cols[i] for i in range(n)], n):
+        piv = _pivot(row, n)
+        if piv is None:
+            raise ArithmeticError("W is not in the image of V")
+        u[piv] = row[n:]
+    # t w_j = t V u_j = V^T u_j
+    columns = [_class(split, [sum(u[k][j] * e[k][i] for k in range(n))
+                              for i in range(n)]) for j in range(d)]
+    return AlexanderModule(v, delta, tuple(zip(*columns)), split)
+
+
+def _class(split, x):
+    """Coordinates of the class of a constant vector x: the pivot entries
+    of its W-component along K, x itself when K = 0 (split is None)."""
+    if split is None:
+        return tuple(x)
+    return tuple(sum((c * x[k] for k, c in row), F(0)) for row in split[1])
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +388,20 @@ def _reduce_mod_ring(num, den, shift):
 
 
 def _blanchfield_raw(mod, x, y):
-    """x-bar^T (t - 1) (tV - V^T)^{-1} y, reduced modulo Q[t, t^-1]."""
+    """x^T (t - 1) (tV - V^T)^{-1} y on the constant representatives of the
+    two classes (constant, so x-bar = x), reduced modulo Q[t, t^-1]."""
     if mod.dim == 0:
         return BL_ZERO
-    px = mod.rep_of(x)
-    py = mod.rep_of(y)
     d, r = mod._presentation_inverse()
-    w = _poly_matvec(r, py)
-    dmax = max((polys.deg(p) for p in px if not polys.is_zero(p)), default=0)
+    ly = mod._lift(y)
     total = []
-    for pj, wj in zip(px, w):
-        if polys.is_zero(pj) or polys.is_zero(wj):
-            continue
-        # t^dmax * px_j(1/t) as a plain polynomial
-        rev = polys.trim([F(0)] * (dmax - polys.deg(pj)) + list(reversed(pj)))
-        total = polys.add(total, polys.mul(wj, rev))
+    for xi, row in zip(mod._lift(x), r):
+        if xi:
+            for yj, rij in zip(ly, row):
+                if yj and rij:
+                    total = polys.add(total, polys.scale(rij, xi * yj))
     num = polys.mul(total, [F(-1), F(1)])  # times (t - 1)
-    return _reduce_mod_ring(num, d, -dmax)
+    return _reduce_mod_ring(num, d, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +423,8 @@ def _rref(vectors, pivot_cols):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f_ = rows[i][c]

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 from concord import polys
-from concord.alexander import (BL_ZERO, NotCyclic, Submodule, _pivot, _reduce,
-                               _reduce_mod_ring, _rref, submodules_cyclic)
+from concord.alexander import (BL_ZERO, AlexanderModule, NotCyclic, Submodule,
+                               _pivot, _reduce, _reduce_mod_ring, _rref,
+                               submodules_cyclic)
 from concord.laurent import LaurentPoly, factor, normalize
-from concord.seifert import SeifertMatrix, presentation_matrix
+from concord.seifert import SeifertMatrix, alexander_poly, presentation_matrix
 
 F = Fraction
 
@@ -422,13 +423,19 @@ def ratfunc_solve(mat, rhs):
     return [aug[i][n] for i in range(n)]
 
 
-def oracle_blanchfield(mod, x, y):
+def oracle_blanchfield(mod, x, y, solved=None):
     """x-bar^T (t - 1) (tV - V^T)^{-1} y over Q(t), one gcd per operation:
-    the rational-function engine the adjugate form replaced."""
+    the rational-function engine the adjugate form replaced.  `solved`, a
+    dict, keeps the solves of (tV - V^T) w = rep(y) across calls."""
     if mod.dim == 0:
         return BL_ZERO
-    px, py = mod.rep_of(x), mod.rep_of(y)
-    w = ratfunc_solve(presentation_matrix(mod.V), py)
+    if solved is None:
+        solved = {}
+    if tuple(y) not in solved:
+        solved[tuple(y)] = ratfunc_solve(presentation_matrix(mod.V),
+                                         mod.rep_of(y))
+    w = solved[tuple(y)]
+    px = mod.rep_of(x)
     dmax = max((polys.deg(p) for p in px if p), default=0)
     total = RatFunc([])
     for pj, wj in zip(px, w):
@@ -439,6 +446,192 @@ def oracle_blanchfield(mod, x, y):
         return BL_ZERO
     num = polys.mul(total.num, [F(-1), F(1)])
     return _reduce_mod_ring(num, total.den, -dmax)
+
+
+# ---------------------------------------------------------------------------
+# The Smith-form model of the Alexander module that the Fitting
+# decomposition replaced: a Smith normal form over Q[t] with tracked row
+# transforms, one companion block per nonunit invariant factor
+# ---------------------------------------------------------------------------
+
+def smith_form_poly(mat):
+    """(diag, U, Uinv) with U * mat * (column ops) diagonal, d_1 | d_2 | ...
+
+    Only row transforms are tracked: the cokernel isomorphism is
+    [x] -> [U x], with inverse [z] -> [Uinv z].
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    a = [[list(e) for e in row] for row in mat]
+    u = [[[F(1)] if i == j else [] for j in range(rows)] for i in range(rows)]
+    uinv = [[[F(1)] if i == j else [] for j in range(rows)] for i in range(rows)]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def row_addmul(i, j, q):
+        # row_i += q * row_j; inverse transform lands in Uinv columns
+        a[i] = [polys.add(a[i][k], polys.mul(q, a[j][k])) for k in range(cols)]
+        u[i] = [polys.add(u[i][k], polys.mul(q, u[j][k])) for k in range(rows)]
+        for r in uinv:
+            r[j] = polys.sub(r[j], polys.mul(q, r[i]))
+
+    def row_scale(i, c):
+        a[i] = [polys.scale(p, c) for p in a[i]]
+        u[i] = [polys.scale(p, c) for p in u[i]]
+        ic = 1 / c
+        for r in uinv:
+            r[i] = polys.scale(r[i], ic)
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def col_addmul(i, j, q):
+        for row in a:
+            row[i] = polys.add(row[i], polys.mul(q, row[j]))
+
+    def row_primitive(i):
+        # rescale so the row's coefficients are coprime integers; keeps
+        # the fraction sizes from exploding during elimination
+        coeffs = [c for p in a[i] for c in p]
+        if coeffs:
+            ratio = polys.primitive_positive(coeffs)[-1] / coeffs[-1]
+            if ratio != 1:
+                row_scale(i, ratio)
+
+    t = 0
+    while t < min(rows, cols):
+        for i in range(t, rows):
+            row_primitive(i)
+        piv = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if not polys.is_zero(a[i][j]):
+                    d = polys.deg(a[i][j])
+                    if best is None or d < best:
+                        best, piv = d, (i, j)
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+        while True:
+            moved = False
+            for i in range(t + 1, rows):
+                if polys.is_zero(a[i][t]):
+                    continue
+                q, _ = polys.divmod_poly(a[i][t], a[t][t])
+                row_addmul(i, t, polys.neg(q))
+                row_primitive(i)
+                if not polys.is_zero(a[i][t]):
+                    row_swap(t, i)
+                    moved = True
+            for j in range(t + 1, cols):
+                if polys.is_zero(a[t][j]):
+                    continue
+                q, _ = polys.divmod_poly(a[t][j], a[t][t])
+                col_addmul(j, t, polys.neg(q))
+                if not polys.is_zero(a[t][j]):
+                    col_swap(t, j)
+                    moved = True
+            if not moved:
+                break
+        # pivot must divide everything that remains
+        fixed = False
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if not polys.is_zero(polys.rem(a[i][j], a[t][t])):
+                    row_addmul(t, i, [F(1)])
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        row_scale(t, 1 / a[t][t][-1])
+        t += 1
+    diag = [a[i][i] for i in range(min(rows, cols)) if not polys.is_zero(a[i][i])]
+    return diag, u, uinv
+
+
+def _poly_matvec(mat, vec):
+    n = len(mat)
+    out = []
+    for i in range(n):
+        acc = []
+        for j in range(len(vec)):
+            if polys.is_zero(mat[i][j]) or polys.is_zero(vec[j]):
+                continue
+            acc = polys.add(acc, polys.mul(mat[i][j], vec[j]))
+        out.append(acc)
+    return out
+
+
+class SmithModule(AlexanderModule):
+    """The Alexander module of a Seifert matrix in companion-block
+    coordinates, from `smith_form_poly` of tV - V^T: classes through U,
+    polynomial representatives through U^-1, Blanchfield values from
+    `oracle_blanchfield`.  The differential oracle of `present` on
+    matrices with deg Delta < 2g."""
+
+    def __init__(self, v):
+        delta = alexander_poly(v)
+        diag, self._u, self._uinv = smith_form_poly(presentation_matrix(v))
+        self.blocks = []  # list of (snf index, monic invariant factor)
+        for idx, d in enumerate(diag):
+            dd = list(d)
+            while dd and dd[0] == 0:
+                dd.pop(0)
+            if polys.deg(dd) >= 1:
+                self.blocks.append((idx, polys.monic(dd)))
+        super().__init__(v, delta, self._companion_t())
+        self._solved = {}
+        if self.dim != delta.span:
+            raise ArithmeticError(
+                f"presentation rank {self.dim} disagrees with deg Delta")
+        prod = LaurentPoly.one()
+        for _, d in self.blocks:
+            prod = prod * LaurentPoly.from_dense(d)
+        if normalize(prod) != delta:
+            raise ArithmeticError("invariant factors do not recompose Delta")
+
+    def _companion_t(self):
+        n = sum(polys.deg(d) for _, d in self.blocks)
+        t = [[F(0)] * n for _ in range(n)]
+        base = 0
+        for _, d in self.blocks:
+            k = polys.deg(d)
+            for j in range(k - 1):
+                t[base + j + 1][base + j] = F(1)
+            for i in range(k):
+                t[base + i][base + k - 1] = -d[i]
+            base += k
+        return tuple(tuple(r) for r in t)
+
+    def class_of_polyvec(self, pvec):
+        z = _poly_matvec(self._u, [list(p) for p in pvec])
+        coords = []
+        for idx, d in self.blocks:
+            r = polys.rem(z[idx], d)
+            k = polys.deg(d)
+            coords.extend([r[i] if i < len(r) else F(0) for i in range(k)])
+        return tuple(coords)
+
+    def rep_of(self, coords):
+        z = [[] for _ in range(self.V.size)]
+        base = 0
+        for idx, d in self.blocks:
+            k = polys.deg(d)
+            z[idx] = polys.trim([F(c) for c in coords[base:base + k]])
+            base += k
+        return _poly_matvec(self._uinv, z)
+
+    def blanchfield(self, x, y):
+        return oracle_blanchfield(self, x, y, self._solved)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +733,6 @@ def find_generator(mod):
     n = mod.dim
     basis = [tuple(F(1) if j == i else F(0) for j in range(n))
              for i in range(n)]
-    if mod.blocks is not None:
-        return basis[0]
     candidates = list(basis)
     for i in range(n):
         for j in range(i + 1, n):

@@ -174,45 +174,45 @@ def test_class_rep_round_trip():
 
 
 def test_degenerate_presentation_matches_direct():
-    """A stabilized matrix has deg Delta < 2g and runs through the Smith
-    normal form route; the module data must agree with the unstabilized
-    direct-route module (S-equivalence invariance)."""
+    """A stabilized matrix has deg Delta < 2g, so singular V and a kernel K
+    of the constant vectors; the module data must agree with the
+    unstabilized module, where K = 0 (S-equivalence invariance)."""
     v = twist_knot(2)
     w = stabilize(stabilize(v, [3, -1], 4), [0, 1, 2, -2], -1)
     direct = present(v)
-    snf = present(w)
-    assert snf.dim == direct.dim == 2
-    assert snf.delta == direct.delta
-    assert snf.is_cyclic
+    degen = present(w)
+    assert degen.dim == direct.dim == 2
+    assert degen.delta == direct.delta
+    assert degen.is_cyclic
     rng = random.Random(23)
     for _ in range(5):
-        coords = tuple(F(rng.randint(-3, 3)) for _ in range(snf.dim))
-        assert snf.class_of_polyvec(snf.rep_of(coords)) == coords
+        coords = tuple(F(rng.randint(-3, 3)) for _ in range(degen.dim))
+        assert degen.class_of_polyvec(degen.rep_of(coords)) == coords
     subs_d = submodules_cyclic(direct)
-    subs_s = submodules_cyclic(snf)
+    subs_s = submodules_cyclic(degen)
     assert sorted(render(s.order_ideal) for s in subs_d) == \
         sorted(render(s.order_ideal) for s in subs_s)
-    assert len(lagrangians(snf)) == len(lagrangians(direct)) == 2
+    assert len(lagrangians(degen)) == len(lagrangians(direct)) == 2
     # metabolizer images in the degenerate module are still isotropic:
     # the original metabolizer direction plus the two stabilized nulls
     from concord.metabolizers import (Metabolizer, is_metabolizer,
                                       metabolizer_to_lagrangian)
     basis = ((1, 2, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1))
     assert is_metabolizer(w, basis)
-    lag = metabolizer_to_lagrangian(snf, Metabolizer(w, basis))
-    assert is_isotropic(snf, lag)
-    assert is_lagrangian(snf, lag)   # deg Delta = 2, image spans rank 1
+    lag = metabolizer_to_lagrangian(degen, Metabolizer(w, basis))
+    assert is_isotropic(degen, lag)
+    assert is_lagrangian(degen, lag)   # deg Delta = 2, image spans rank 1
 
 
 def test_blanchfield_matches_rational_function_oracle():
     """The adjugate form over det(tV - V^T) against the Q(t) engine it
-    replaced, on direct-mode modules (det V != 0) and on Smith-form
-    modules (stabilized, hence singular V)."""
+    replaced, on modules with det V != 0 and on modules of stabilized,
+    hence singular, V."""
     rng = random.Random(11)
-    mods = {"direct": [], "snf": []}
-    while len(mods["direct"]) < 6 or len(mods["snf"]) < 4:
+    mods = {"direct": [], "degen": []}
+    while len(mods["direct"]) < 6 or len(mods["degen"]) < 4:
         v = random_seifert(rng, rng.choice((1, 2)), bound=3)
-        if len(mods["snf"]) < 4 and v.genus == 1:
+        if len(mods["degen"]) < 4 and v.genus == 1:
             xi = [rng.randint(-2, 2) for _ in range(v.size)]
             v = stabilize(v, xi, rng.randint(-2, 2))
         try:
@@ -221,10 +221,10 @@ def test_blanchfield_matches_rational_function_oracle():
             continue  # det(tV - V^T) = 0: no module
         if mod.dim == 0:
             continue
-        kind = "direct" if mod.dim == v.size else "snf"
+        kind = "direct" if mod.dim == v.size else "degen"
         if len(mods[kind]) < (6 if kind == "direct" else 4):
             mods[kind].append(mod)
-    for mod in mods["direct"] + mods["snf"]:
+    for mod in mods["direct"] + mods["degen"]:
         n = mod.dim
         basis = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
         vecs = basis + [tuple(F(rng.randint(-3, 3), rng.randint(1, 3))

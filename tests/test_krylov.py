@@ -1,7 +1,7 @@
 """The Krylov elimination of the Alexander module against the generator-based
 engine it replaced, kept in helpers.py as the oracle: annihilators, generated
-submodules and the submodule lists of cyclic modules, on direct-mode and
-Smith-form modules of genus 1-3."""
+submodules and the submodule lists of cyclic modules, on modules of genus
+1-3 with det V != 0 and with deg Delta < 2g."""
 
 import random
 from fractions import Fraction
@@ -21,7 +21,7 @@ F = Fraction
 
 
 def _modules():
-    """(label, module) pairs: random and metabolic direct-mode modules,
+    """(label, module) pairs: random and metabolic modules with det V != 0,
     torus knots, singular-V ones (genus_one(0, tw), stabilized matrices),
     connected sums with coprime and with equal factors."""
     rng = random.Random(5)
@@ -71,11 +71,11 @@ def _vec(rng, n):
 
 
 def test_module_mix():
-    kinds = {"snf" if m.blocks is not None else "direct" for _, m in MODULES}
-    assert kinds == {"snf", "direct"}
+    kinds = {"degenerate" if m.dim < m.V.size else "direct"
+             for _, m in MODULES}
+    assert kinds == {"degenerate", "direct"}
     assert sum(not m.is_cyclic for _, m in MODULES) >= 1
-    assert sum(m.blocks is not None and m.is_cyclic and m.dim > 0
-               for _, m in MODULES) >= 3
+    assert sum(0 < m.dim < m.V.size and m.is_cyclic for _, m in MODULES) >= 3
 
 
 @pytest.mark.parametrize("label,mod", MODULES, ids=[l for l, _ in MODULES])
