@@ -537,12 +537,21 @@ def zero_submodule(mod) -> Submodule:
 def submodules_cyclic(mod):
     """All submodules of a cyclic module A = Q[t]/(Delta): the images
     f(T) A, one for each divisor f of Delta up to units, f(T) A of order
-    Delta/f."""
+    Delta/f.
+
+    Each image is built from the generator g (`AlexanderModule.generator`):
+    A = Q[t] g, so f(T) A = Q[t] f(T) g, a cyclic module of order
+    Delta/f, and its chain f(T) g, T f(T) g, ..., T^(d-1) f(T) g for
+    d = deg(Delta/f) is a basis.  Per divisor T is applied at most
+    deg Delta + 1 times and the RREF runs on d vectors: O(g^3) rational
+    operations in the genus g, against O(g^4) when f(T) is applied to all
+    2g unit vectors.
+    """
     if not mod.is_cyclic:
         raise NotCyclic("submodule enumeration needs a cyclic module "
                         "(minimal polynomial must equal Delta)")
     delta, _ = mod.delta.to_dense()
-    std = _unit_vectors(mod.dim)
+    gen = mod.generator()
     divisors = [[F(1)]]
     for f, m in laurent_factor(mod.delta).factors:
         fd, _ = f.to_dense()
@@ -552,8 +561,11 @@ def submodules_cyclic(mod):
         divisors = [polys.mul(d, q) for d in divisors for q in powers]
     out = []
     for f in divisors:
-        basis = _rref([mod.poly_action(f, e) for e in std], mod.dim)
         order = polys.exact_div(delta, f)
+        chain = [mod.poly_action(f, gen)]
+        for _ in range(polys.deg(order) - 1):
+            chain.append(mod.t_action(chain[-1]))
+        basis = _rref(chain, mod.dim)
         if len(basis) != polys.deg(order):
             raise ArithmeticError(
                 f"f(T)A has dimension {len(basis)}, not deg(Delta/f) = "

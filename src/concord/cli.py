@@ -24,12 +24,19 @@ EXIT_UNSUPPORTED = 3
 _UNSUPPORTED = (alexander.NotCyclic, alexander.UnsupportedModule,
                 calculus.UnsupportedLink, calculus.MissingBaseFact,
                 mb.NotRepresentable, mb.WrongGenus, mb.NotMetabolic,
-                mb.RankMismatch, sf.NotAKnot, laurent.UnsupportedDegree)
+                mb.RankMismatch, sf.NotAKnot, laurent.UnsupportedDegree,
+                specs.UnsupportedNesting)
 
 
-def _load_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return pipeline.ingest(fh.read())
+def _read(path):
+    """The text of an input file; bytes that are not UTF-8 are a schema
+    error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise specs.SchemaError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _need_knot(spec):
@@ -93,11 +100,10 @@ def main(argv=None) -> int:
         if args.search_bound < 0:
             raise specs.SchemaError("--search-bound must be a non-negative "
                                     f"integer, got {args.search_bound}")
-        spec = _load_spec(args.spec)
+        spec = pipeline.ingest(_read(args.spec))
         assumptions = None
         if args.assume:
-            with open(args.assume, "r", encoding="utf-8") as fh:
-                assumptions = pipeline.load_assumptions(fh.read())
+            assumptions = pipeline.load_assumptions(_read(args.assume))
         req = pipeline.Request(spec, assumptions, radius, args.search_bound)
         return _dispatch(args, req)
     except OSError as exc:

@@ -80,10 +80,6 @@ def smith_normal_form(mat):
     return out
 
 
-def rank(mat):
-    return len(smith_normal_form(mat))
-
-
 def spans_summand(vectors, ambient_dim):
     """True iff the integer row vectors span a rank-len(vectors) direct
     summand of Z^ambient_dim (all invariant factors 1)."""
@@ -93,13 +89,6 @@ def spans_summand(vectors, ambient_dim):
         raise ValueError("vector length mismatch")
     d = smith_normal_form([list(v) for v in vectors])
     return len(d) == len(vectors) and all(x == 1 for x in d)
-
-
-def is_primitive(vector):
-    g = 0
-    for v in vector:
-        g = gcd(g, abs(v))
-    return g == 1
 
 
 def primitive_part(vector):

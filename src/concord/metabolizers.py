@@ -484,17 +484,10 @@ def _canonical_f(v: SeifertMatrix, mod, lagr, basis):
     images = []
     for b in basis:
         w = _dual_partner(v, b)
-        cls = _incl_rational(mod, w)
+        cls = mod.incl_surface(w)
         shifted = tuple(a - b_ for a, b_ in zip(mod.t_action(cls), cls))
         images.append(lagr.quotient_coords(shifted))
     return tuple(images), d
-
-
-def _incl_rational(mod, w):
-    n = mod.V.size
-    e = mod.V.entries
-    img = [sum((F(e[i][j] - e[j][i])) * w[j] for j in range(n)) for i in range(n)]
-    return mod.class_of_polyvec([polys.const(c) for c in img])
 
 
 def _torus_spec(n: int) -> specs.KnotSpec:

@@ -121,10 +121,7 @@ class CooperRow:
 def ingest(document):
     """Parse a structured document (dict or JSON text) into a spec."""
     if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
+        document = _decode(document, "invalid JSON")
     spec = specs.parse_document(document)
     if isinstance(spec, KnotSpec):
         specs.seifert_matrix(spec)  # validates family parameters
@@ -160,11 +157,19 @@ def _check_fact_references(spec: KnotSpec):
 def load_assumptions(text_or_dict) -> Assumptions:
     doc = text_or_dict
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid assumption file: {exc}") from exc
+        doc = _decode(doc, "invalid assumption file")
     return Assumptions.from_dict(doc)
+
+
+def _decode(text, what):
+    """json.loads, with malformed text and nesting too deep for the
+    decoder's recursion both a SchemaError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{what}: nested too deeply to decode") from None
 
 
 # ---------------------------------------------------------------------------

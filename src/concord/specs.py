@@ -25,6 +25,16 @@ class SchemaError(ValueError):
     """Malformed knot/link document."""
 
 
+class UnsupportedNesting(ValueError):
+    """Knot description nested deeper than MAX_KNOT_DEPTH."""
+
+
+# Levels of knots inside knots (connected-sum parts, cores, sites) that a
+# document may nest; deeper trees would overflow the recursive parsing,
+# hashing and evaluation of specs.
+MAX_KNOT_DEPTH = 64
+
+
 # ---------------------------------------------------------------------------
 # Facts and infection sites
 # ---------------------------------------------------------------------------
@@ -306,8 +316,8 @@ def parse_fact(doc) -> Fact:
                 provenance=_str_field(doc, "provenance", ctx))
 
 
-def parse_site(doc, context) -> Site:
-    infect = parse_knot(_require(doc, "infect", f"{context}.site"))
+def parse_site(doc, context, depth) -> Site:
+    infect = parse_knot(_require(doc, "infect", f"{context}.site"), depth + 1)
     if doc.get("second_derived"):
         return Site(infect=infect, second_derived=True)
     if "band_meridian" in doc:
@@ -322,7 +332,11 @@ def parse_site(doc, context) -> Site:
                       "or second_derived")
 
 
-def parse_knot(doc) -> KnotSpec:
+def parse_knot(doc, depth=1) -> KnotSpec:
+    """The knot of a document, itself nested `depth` levels deep."""
+    if depth > MAX_KNOT_DEPTH:
+        raise UnsupportedNesting("knot description exceeds the nesting "
+                                 f"bound of {MAX_KNOT_DEPTH} levels")
     if isinstance(doc, str):
         return abstract_knot(doc)
     if not isinstance(doc, dict):
@@ -335,7 +349,8 @@ def parse_knot(doc) -> KnotSpec:
     def sub(key, required=False):
         if key not in fam_doc and required:
             raise SchemaError(f"{ctx}: family needs {key!r}")
-        return tuple(parse_knot(d) for d in _list_field(fam_doc, key, ctx))
+        return tuple(parse_knot(d, depth + 1)
+                     for d in _list_field(fam_doc, key, ctx))
 
     if ftype == "twist":
         fam = Twist(_int_field(fam_doc, "tw", ctx), sub("cores"),
@@ -355,7 +370,7 @@ def parse_knot(doc) -> KnotSpec:
                            _int_field(fam_doc, "l2", ctx),
                            sub("L", required=True),
                            sub("LL", required=True),
-                           parse_knot(b) if b is not None else None)
+                           parse_knot(b, depth + 1) if b is not None else None)
     elif ftype == "connected_sum":
         fam = ConnectedSum(sub("parts", required=True))
     elif ftype == "explicit":
@@ -376,7 +391,8 @@ def parse_knot(doc) -> KnotSpec:
         raise SchemaError(f"{ctx}: unknown family type {ftype!r}")
     _check_order(_matrix_order(fam), ctx)
     facts = tuple(parse_fact(f) for f in _list_field(doc, "facts", ctx))
-    sites = tuple(parse_site(s, ctx) for s in _list_field(doc, "sites", ctx))
+    sites = tuple(parse_site(s, ctx, depth)
+                  for s in _list_field(doc, "sites", ctx))
     return KnotSpec(name, fam, facts, sites)
 
 

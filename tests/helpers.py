@@ -1,11 +1,12 @@
 """Shared random generators and independent oracles for the test suite."""
 
 from fractions import Fraction
+from math import gcd
 
 from concord import polys
 from concord.alexander import (BL_ZERO, AlexanderModule, NotCyclic, Submodule,
                                _pivot, _reduce, _reduce_mod_ring, _rref,
-                               submodules_cyclic)
+                               _unit_vectors, submodules_cyclic)
 from concord.laurent import LaurentPoly, factor, normalize
 from concord.seifert import SeifertMatrix, alexander_poly, presentation_matrix
 
@@ -772,6 +773,35 @@ def generator_submodules(mod):
     return sorted(uniq.values(), key=lambda s: s.sort_key())
 
 
+def submodules_all_units(mod):
+    """alexander.submodules_cyclic as it was when it built each f(T) A by
+    applying f(T) to every unit vector: the differential oracle of the
+    construction from one chain per divisor."""
+    if not mod.is_cyclic:
+        raise NotCyclic("submodule enumeration needs a cyclic module "
+                        "(minimal polynomial must equal Delta)")
+    delta, _ = mod.delta.to_dense()
+    std = _unit_vectors(mod.dim)
+    divisors = [[F(1)]]
+    for f, m in factor(mod.delta).factors:
+        fd, _ = f.to_dense()
+        powers = [[F(1)]]
+        for _ in range(m):
+            powers.append(polys.mul(powers[-1], fd))
+        divisors = [polys.mul(d, q) for d in divisors for q in powers]
+    out = []
+    for f in divisors:
+        basis = _rref([mod.poly_action(f, e) for e in std], mod.dim)
+        order = polys.exact_div(delta, f)
+        if len(basis) != polys.deg(order):
+            raise ArithmeticError(
+                f"f(T)A has dimension {len(basis)}, not deg(Delta/f) = "
+                f"{polys.deg(order)}")
+        out.append(Submodule(mod, basis,
+                             normalize(LaurentPoly.from_dense(order))))
+    return sorted(out, key=lambda s: s.sort_key())
+
+
 def factor_sympy(p):
     """laurent.factor as it was when it called sympy.factor_list: the
     differential oracle of the in-house factorization over Z[t]."""
@@ -800,6 +830,14 @@ def factor_sympy(p):
     return PrimeFactorization(ucoeff, uexp, tuple(factors))
 
 
+def is_primitive(vector):
+    """Whether the gcd of the integer entries is 1."""
+    g = 0
+    for v in vector:
+        g = gcd(g, abs(v))
+    return g == 1
+
+
 def bounded_search_box(v, bound):
     """metabolizers._bounded_search as it was when it enumerated the whole
     (2 bound + 1)^(2g) box and every index-ordered frame of isotropic
@@ -813,7 +851,7 @@ def bounded_search_box(v, bound):
 
     def gen(prefix):
         if len(prefix) == n:
-            if any(prefix) and intlinalg.is_primitive(prefix):
+            if any(prefix) and is_primitive(prefix):
                 vec = intlinalg.sign_normalized(tuple(prefix))
                 if v.form(vec, vec) == 0 and vec not in seen:
                     seen.add(vec)

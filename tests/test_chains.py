@@ -1,0 +1,101 @@
+"""Submodules of a cyclic Alexander module from one Krylov chain per divisor
+against the all-unit-vector construction they replaced, kept in helpers.py
+as `submodules_all_units`: equal bases, order ideals and list order on
+every module of test_isotropy.MATRICES and test_krylov.MODULES (singular-V
+modules and the dimension-0 twist(0) among them), on the rebased
+twist(2) # twist(6) whose generator lies on the moment curve, and on
+metabolic draws of genus 2-5; the number of applications of T; and the
+genus-5 metabolic spec through the CLI."""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from concord.alexander import NotCyclic, _unit_vectors, present, submodules_cyclic
+from concord.seifert import SeifertMatrix
+
+import test_isotropy
+import test_krylov
+from helpers import random_metabolic, submodules_all_units
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED1_GENUS5 = ROOT / "tests" / "data" / "metabolic5_seed1.spec.json"
+
+
+def _modules():
+    out = [(f"isotropy {label}", mod) for label, mod in test_isotropy.MODULES]
+    out += [(f"krylov {label}", mod) for label, mod in test_krylov.MODULES]
+    for g in (2, 3, 4, 5):
+        for s in (1, 2, 3):
+            out.append((f"metabolic{g}/{s}",
+                        present(random_metabolic(random.Random(s), g)[0])))
+    return out
+
+
+MODULES = _modules()
+
+
+def test_module_mix():
+    labels = [label for label, _ in MODULES]
+    assert "isotropy diagonal twist(2)#twist(6)" in labels
+    assert "krylov unknot" in labels
+    mods = [m for _, m in MODULES]
+    assert any(m.dim == 0 for m in mods)
+    assert sum(m.is_cyclic and 0 < m.dim < m.V.size for m in mods) >= 5
+    assert sum(not m.is_cyclic for m in mods) >= 2
+    assert any(m.dim > 0 and m.is_cyclic
+               and m.generator() not in _unit_vectors(m.dim) for m in mods)
+
+
+@pytest.mark.parametrize("label,mod", MODULES, ids=[l for l, _ in MODULES])
+def test_chain_submodules_match_all_units_oracle(label, mod):
+    if not mod.is_cyclic:
+        with pytest.raises(NotCyclic):
+            submodules_cyclic(mod)
+        return
+    got = submodules_cyclic(mod)
+    want = submodules_all_units(mod)
+    assert [(s.basis, s.order_ideal) for s in got] == \
+        [(s.basis, s.order_ideal) for s in want]
+
+
+@pytest.mark.parametrize("label", ["metabolic3/1", "metabolic5/2",
+                                   "isotropy diagonal twist(2)#twist(6)"])
+def test_t_applied_at_most_deg_delta_plus_one_per_divisor(label):
+    # a module of its own: the count must not see work cached by others
+    v = dict(MODULES)[label].V
+    mod = present(v)
+    mod.generator()
+    calls = []
+    apply_t = mod.t_action
+
+    def counted(coords):
+        calls.append(1)
+        return apply_t(coords)
+
+    mod.t_action = counted
+    divisors = len(submodules_cyclic(mod))
+    # all unit vectors took dim (deg f + 1) applications per divisor f
+    assert 0 < len(calls) <= divisors * (mod.dim + 1)
+
+
+def test_genus5_lagrangians_from_the_cli():
+    v, _ = random_metabolic(random.Random(1), 5)
+    doc = json.loads(SEED1_GENUS5.read_text())
+    assert SeifertMatrix.from_rows(doc["family"]["matrix"]) == v
+    code = ("import sys\nfrom concord.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run(
+        [sys.executable, "-c", code, "--format", "json", "lagrangians",
+         str(SEED1_GENUS5)], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert len(json.loads(run.stdout)["lagrangians"]) == 2

@@ -1,7 +1,9 @@
 """CLI fuzz test: mutated copies of the golden specs and assumption files
 either run or exit with a documented code and a one-line message; and
 the exit codes of non-integral numbers, of Delta above the
-factorization bound and of Seifert matrices above it."""
+factorization bound, of Seifert matrices above it, of files that are not
+UTF-8 or nest too deeply for the JSON decoder, and of knot trees above
+the nesting bound."""
 
 import contextlib
 import copy
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from concord import alexander, cli, laurent
+from concord import alexander, cli, laurent, specs
 
 DATA = Path(__file__).parent / "data" / "reports"
 SPECS = sorted(DATA.glob("*.spec.json"))
@@ -135,3 +137,70 @@ def test_matrix_above_factorization_bound_exits_3(tmp_path, family):
     assert code == 3 and not out
     assert len(err.strip().splitlines()) == 1
     assert "exceeds the factorization bound 32" in err
+
+
+def _nested_sums(levels):
+    """twist(0) inside `levels` one-part connected sums."""
+    doc = {"name": "K0", "family": {"type": "twist", "tw": 0}}
+    for i in range(1, levels + 1):
+        doc = {"name": f"K{i}", "family": {"type": "connected_sum",
+                                           "parts": [doc]}}
+    return doc
+
+
+def _nested_sites(levels):
+    """twist(2) infected along a site by a knot infected along a site, ...,
+    `levels` knots deep."""
+    doc = {"name": "K0", "family": {"type": "twist", "tw": 2}}
+    for i in range(1, levels):
+        doc = {"name": f"K{i}", "family": {"type": "twist", "tw": 2},
+               "sites": [{"infect": doc, "second_derived": True}]}
+    return doc
+
+
+TWIST6 = DATA / "twist_6.spec.json"
+
+
+@pytest.mark.parametrize("spec,assume", [
+    (b"\xff\xfe", None), (None, b"\xff\xfe"),
+    (b"[" * 100000 + b"]" * 100000, None),
+    (None, b"[" * 100000 + b"]" * 100000),
+    (b'{"a": ' * 100000 + b"1" + b"}" * 100000, None)],
+    ids=["spec-not-utf8", "assume-not-utf8", "spec-deep-list",
+         "assume-deep-list", "spec-deep-object"])
+def test_undecodable_documents_are_schema_errors(tmp_path, spec, assume):
+    args = ["report", str(TWIST6)]
+    if spec is not None:
+        (tmp_path / "k.json").write_bytes(spec)
+        args = ["report", str(tmp_path / "k.json")]
+    if assume is not None:
+        (tmp_path / "a.json").write_bytes(assume)
+        args = ["--assume", str(tmp_path / "a.json")] + args
+    code, out, err = _run(args)
+    assert code == 2 and not out
+    assert len(err.strip().splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("doc", [
+    _nested_sums(300), _nested_sums(specs.MAX_KNOT_DEPTH),
+    _nested_sites(300), _nested_sites(specs.MAX_KNOT_DEPTH + 1),
+    {"name": "L", "link": True, "components": [_nested_sums(300)]}],
+    ids=["sums300", "sums65", "sites300", "sites65", "link"])
+def test_knot_trees_above_nesting_bound_exit_3(tmp_path, doc):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["report", str(path)])
+    assert code == 3 and not out
+    assert err.strip().splitlines() == [
+        "unsupported shape: knot description exceeds the nesting bound of "
+        f"{specs.MAX_KNOT_DEPTH} levels"]
+
+
+def test_knot_tree_at_nesting_bound_runs(tmp_path):
+    for doc in (_nested_sums(specs.MAX_KNOT_DEPTH - 1),
+                _nested_sites(specs.MAX_KNOT_DEPTH)):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(["--format", "json", "report", str(path)])
+        assert code == 0 and not err
+        assert json.loads(out)
