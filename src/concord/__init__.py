@@ -12,7 +12,7 @@ Library layout:
 
 from .laurent import LaurentPoly, PrimeFactorization
 from .seifert import CertifiedReal, JumpSet, SeifertMatrix, UnitCirclePoint
-from .alexander import AlexanderModule, BlanchfieldValue, Submodule
+from .alexander import AlexanderModule, Submodule
 from .metabolizers import DerivativeLink, Metabolizer
 from .calculus import Assumptions, InfectionDesc, SigExpr
 from .specs import KnotSpec, LinkSpec
@@ -21,7 +21,7 @@ from .pipeline import Verdict, ingest, report
 __all__ = [
     "LaurentPoly", "PrimeFactorization",
     "CertifiedReal", "JumpSet", "SeifertMatrix", "UnitCirclePoint",
-    "AlexanderModule", "BlanchfieldValue", "Submodule",
+    "AlexanderModule", "Submodule",
     "DerivativeLink", "Metabolizer",
     "Assumptions", "InfectionDesc", "SigExpr",
     "KnotSpec", "LinkSpec",

@@ -23,10 +23,12 @@ S-equivalence of Seifert matrices, 1973).  Surface classes include via
 v |-> (V - V^T) v; that convention is what makes metabolizer images
 isotropic for the Blanchfield form (validated by the test suite).
 
-Blanchfield values live in Q(t)/Q[t,t^-1].  They are computed over the
-single denominator d = det(tV - V^T), from the adjugate-style matrix R
-with (tV - V^T)^{-1} = R/d, on the constant representatives in W, and
-stored as a reduced numerator of degree < deg(denominator).
+Blanchfield values live in Delta^-1 Q[t,t^-1] / Q[t,t^-1], since Delta
+annihilates the module, so each is one residue r mod Delta with
+deg r < deg Delta: Bl(x, y) = r/Delta.  r comes from the adjugate-style
+matrix R with (tV - V^T)^{-1} = R/d, d = det(tV - V^T) = c t^k Delta, on
+the constant representatives in W, times the unit (t - 1) t^-k / c mod
+Delta.
 
 Submodules are T-invariant subspaces stored as canonical RREF bases with
 their order ideals.  One Krylov elimination (`_krylov`) gives both the
@@ -38,8 +40,8 @@ Delta/f.
 
 Isotropy needs one Blanchfield value per module.  For a generator g of a
 cyclic A, sesquilinearity gives Bl(a f g, b f g) = a b-bar f f-bar Bl(g, g)
-(Levine, Knot modules I, 1977); so if Bl(g, g) = c/e in lowest terms,
-f(T) A is isotropic iff e divides f f-bar, that is f rev(f) in Q[t].
+(Levine, Knot modules I, 1977); so if Bl(g, g) = r/Delta, f(T) A is
+isotropic iff Delta divides r f f-bar, that is r f rev(f) in Q[t].
 """
 
 from __future__ import annotations
@@ -151,7 +153,9 @@ class AlexanderModule:
         for k in range(deg, -1, -1):
             term = _class(self._split, [p[k] if k <= polys.deg(p) else 0
                                         for p in pvec])
-            acc = tuple(a + b for a, b in zip(self.t_action(acc), term))
+            if k < deg:
+                acc = self.t_action(acc)
+            acc = tuple(a + b for a, b in zip(acc, term))
         return acc
 
     def _lift(self, coords):
@@ -182,31 +186,61 @@ class AlexanderModule:
                      for i in range(n))
 
     def poly_action(self, p, coords):
-        """Apply p(T) to a coordinate vector (Horner)."""
-        n = self.dim
-        acc = tuple(F(0) for _ in range(n))
-        for c in reversed(list(p)):
-            acc = self.t_action(acc)
-            acc = tuple(acc[i] + c * coords[i] for i in range(n))
+        """Apply p(T) to a coordinate vector (Horner), deg p applications
+        of T."""
+        acc = tuple(F(0) for _ in range(self.dim))
+        for i, c in enumerate(reversed(list(p))):
+            if i:
+                acc = self.t_action(acc)
+            acc = tuple(a + c * x for a, x in zip(acc, coords))
         return acc
 
     # -- Blanchfield ------------------------------------------------------
 
     def _presentation_inverse(self):
-        """(d, R) with d = det(tV - V^T) and (tV - V^T)^{-1} = R/d."""
+        """(R, w) with (tV - V^T)^{-1} = R/d for d = det(tV - V^T), and
+        w = (t - 1) t^-k / c mod Delta where d = c t^k Delta.  Delta(0) != 0
+        (normalized), so t is a unit mod Delta; k >= 1 when V is singular."""
         if self._inv_cache is None:
             n = self.V.size
             ident = [[[F(1)] if i == j else [] for j in range(n)]
                      for i in range(n)]
-            self._inv_cache = polys.bareiss(presentation_matrix(self.V), ident)
+            d, r = polys.bareiss(presentation_matrix(self.V), ident)
+            delta, _ = self.delta.to_dense()
+            # Delta = normalize(d), so d / Delta is the monomial c t^k
+            q = polys.exact_div(d, delta)
+            k = polys.deg(q)
+            w = [F(-1) / q[k], F(1) / q[k]]
+            for _ in range(k):
+                # times t^-1 mod Delta: clear the constant term, divide by t
+                w = polys.sub(w, polys.scale(delta, w[0] / delta[0]))[1:]
+            self._inv_cache = r, polys.rem(w, delta)
         return self._inv_cache
 
     def blanchfield(self, x, y):
+        """The residue r of Bl(x, y) = r/Delta in Q(t)/Q[t, t^-1]: a tuple
+        of Fractions with deg r < deg Delta, empty when the value is 0.
+
+        Bl(x, y) = x^T (t - 1) (tV - V^T)^-1 y on the constant lifts of the
+        two classes (constant, so x-bar = x), that is (t - 1) X / d for
+        X = x^T R y; with d = c t^k Delta, r = X w mod Delta.  Every value
+        lies in Delta^-1 Q[t, t^-1] / Q[t, t^-1], so r is canonical.
+        """
+        if self.dim == 0:
+            return ()
         key = (tuple(x), tuple(y))
-        got = self._bl_cache.get(key)
-        if got is not None:
-            return got
-        val = _blanchfield_raw(self, x, y)
+        if key in self._bl_cache:
+            return self._bl_cache[key]
+        r, w = self._presentation_inverse()
+        ly = self._lift(y)
+        total = []
+        for xi, row in zip(self._lift(x), r):
+            if xi:
+                for yj, rij in zip(ly, row):
+                    if yj and rij:
+                        total = polys.add(total, polys.scale(rij, xi * yj))
+        delta, _ = self.delta.to_dense()
+        val = tuple(polys.rem(polys.mul(polys.rem(total, delta), w), delta))
         self._bl_cache[key] = val
         return val
 
@@ -291,117 +325,6 @@ def _class(split, x):
     if split is None:
         return tuple(x)
     return tuple(sum((c * x[k] for k, c in row), F(0)) for row in split[1])
-
-
-# ---------------------------------------------------------------------------
-# Blanchfield values
-# ---------------------------------------------------------------------------
-
-@frozen
-class BlanchfieldValue:
-    """Class of num/den in Q(t)/Q[t,t^-1]: gcd(num, den) = 1,
-    deg num < deg den, den primitive integer with positive leading term."""
-
-    num: tuple
-    den: tuple
-
-    @property
-    def is_zero(self):
-        return not self.num
-
-    def conjugate(self):
-        if self.is_zero:
-            return self
-        # v(1/t) = t^(deg den - deg num) rev(num) / rev(den)
-        rn = list(reversed(self.num))
-        rd = list(reversed(self.den))
-        shift = polys.deg(list(self.den)) - polys.deg(list(self.num))
-        return _reduce_mod_ring(polys.trim(rn), polys.trim(rd), shift)
-
-    def __add__(self, other):
-        num = polys.add(polys.mul(list(self.num), list(other.den)),
-                        polys.mul(list(other.num), list(self.den)))
-        return _reduce_mod_ring(num, polys.mul(list(self.den), list(other.den)), 0)
-
-    def scale(self, c):
-        return _reduce_mod_ring(polys.scale(list(self.num), c), list(self.den), 0)
-
-    def t_multiple(self):
-        """Class of t * value."""
-        return _reduce_mod_ring(polys.mul_xk(list(self.num), 1), list(self.den), 0)
-
-
-BL_ZERO = BlanchfieldValue((), (F(1),))
-
-
-def _t_inverse_mod(d):
-    """u with t * u == 1 mod d; requires d(0) != 0."""
-    if d[0] == 0:
-        raise ArithmeticError("t is a zero divisor mod this denominator")
-    body = [-c / d[0] for c in d[1:]]
-    return polys.trim(body)
-
-
-def _reduce_mod_ring(num, den, shift):
-    """Canonical form of t^shift * num/den in Q(t)/Q[t,t^-1]."""
-    num = polys.trim(list(num))
-    den = polys.trim(list(den))
-    if polys.is_zero(num):
-        return BL_ZERO
-    # strip t powers out of the denominator into the shift
-    v = 0
-    while den and den[0] == 0:
-        den.pop(0)
-        v += 1
-    shift -= v
-    v = 0
-    while num and num[0] == 0:
-        num.pop(0)
-        v += 1
-    shift += v
-    g = polys.gcd_monic(num, den)
-    if polys.deg(g) > 0:
-        num = polys.exact_div(num, g)
-        den = polys.exact_div(den, g)
-    if polys.deg(den) == 0:
-        return BL_ZERO
-    if shift > 0:
-        num = polys.rem(polys.mul_xk(num, shift), den)
-    elif shift < 0:
-        u = _t_inverse_mod(den)
-        for _ in range(-shift):
-            num = polys.rem(polys.mul(num, u), den)
-    else:
-        num = polys.rem(num, den)
-    if polys.is_zero(num):
-        return BL_ZERO
-    g = polys.gcd_monic(num, den)
-    if polys.deg(g) > 0:
-        num = polys.exact_div(num, g)
-        den = polys.exact_div(den, g)
-    den_prim = polys.primitive_positive(den)
-    if den_prim[-1] < 0:
-        den_prim = polys.neg(den_prim)
-    ratio = den_prim[-1] / den[-1]
-    num = polys.scale(num, ratio)
-    return BlanchfieldValue(tuple(num), tuple(den_prim))
-
-
-def _blanchfield_raw(mod, x, y):
-    """x^T (t - 1) (tV - V^T)^{-1} y on the constant representatives of the
-    two classes (constant, so x-bar = x), reduced modulo Q[t, t^-1]."""
-    if mod.dim == 0:
-        return BL_ZERO
-    d, r = mod._presentation_inverse()
-    ly = mod._lift(y)
-    total = []
-    for xi, row in zip(mod._lift(x), r):
-        if xi:
-            for yj, rij in zip(ly, row):
-                if yj and rij:
-                    total = polys.add(total, polys.scale(rij, xi * yj))
-    num = polys.mul(total, [F(-1), F(1)])  # times (t - 1)
-    return _reduce_mod_ring(num, d, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +465,10 @@ def submodules_cyclic(mod):
     Each image is built from the generator g (`AlexanderModule.generator`):
     A = Q[t] g, so f(T) A = Q[t] f(T) g, a cyclic module of order
     Delta/f, and its chain f(T) g, T f(T) g, ..., T^(d-1) f(T) g for
-    d = deg(Delta/f) is a basis.  Per divisor T is applied at most
-    deg Delta + 1 times and the RREF runs on d vectors: O(g^3) rational
-    operations in the genus g, against O(g^4) when f(T) is applied to all
-    2g unit vectors.
+    d = deg(Delta/f) is a basis.  Per divisor T is applied
+    deg f + d - 1 = deg Delta - 1 times (deg Delta times for f = Delta)
+    and the RREF runs on d vectors: O(g^3) rational operations in the
+    genus g, against O(g^4) when f(T) is applied to all 2g unit vectors.
     """
     if not mod.is_cyclic:
         raise NotCyclic("submodule enumeration needs a cyclic module "
@@ -576,21 +499,16 @@ def submodules_cyclic(mod):
 
 
 def orthogonal_complement(mod, p: Submodule) -> Submodule:
-    """P-perp for the Blanchfield form, by exact linear algebra."""
-    n = mod.dim
-    delta_dense, _ = mod.delta.to_dense()
-    dd = polys.deg(delta_dense)
+    """P-perp for the Blanchfield form, by exact linear algebra: x is in
+    P-perp iff the residue of Bl(x, b) vanishes for each basis row b of P,
+    one linear condition per residue coefficient."""
+    n = mod.dim  # = deg Delta, the number of residue coefficients
     rows = []
     std = _unit_vectors(n)
     for pv in p.basis:
-        conds = [[F(0)] * n for _ in range(dd)]
+        conds = [[F(0)] * n for _ in range(n)]
         for j, bj in enumerate(std):
-            val = mod.blanchfield(bj, pv)
-            if val.is_zero:
-                continue
-            q = polys.exact_div(delta_dense, list(val.den))
-            lifted = polys.rem(polys.mul(list(val.num), q), delta_dense)
-            for k, c in enumerate(lifted):
+            for k, c in enumerate(mod.blanchfield(bj, pv)):
                 conds[k][j] = c
         rows.extend(conds)
     return submodule_from_vectors(mod, _kernel(rows, n))
@@ -617,21 +535,21 @@ def is_isotropic(mod, p: Submodule) -> bool:
     On a cyclic module A = Q[t]/(Delta) with generator g, P = f(T) A for
     f = Delta / order(P), and sesquilinearity gives
     Bl(a f g, b f g) = a b-bar f f-bar Bl(g, g) (Levine, Knot modules I).
-    With Bl(g, g) = c/e in lowest terms, P is isotropic iff e divides
-    f f-bar = t^(-deg f) f rev(f): the case a = b = 1 is necessary, and it
-    makes every other value a Laurent multiple of an integral one.  e has
-    no factor t, so e | f rev(f) in Q[t] is the test; Bl(g, g) = 0 (e = 1)
-    makes every submodule isotropic.  Raises UnsupportedModule off cyclic
+    With Bl(g, g) = r/Delta, P is isotropic iff Delta divides
+    r f f-bar = t^(-deg f) r f rev(f): the case a = b = 1 is necessary,
+    and it makes every other value a Laurent multiple of an integral one.
+    Delta(0) != 0, so Delta | r f rev(f) in Q[t] is the test; r = 0 makes
+    every submodule isotropic.  Raises UnsupportedModule off cyclic
     modules.
     """
     if not mod.is_cyclic:
         raise UnsupportedModule("isotropy is decided on cyclic modules only")
     g = mod.generator()
-    e = list(mod.blanchfield(g, g).den)
+    r = list(mod.blanchfield(g, g))
     delta, _ = mod.delta.to_dense()
     order, _ = p.order_ideal.to_dense()
     f = polys.exact_div(delta, order)
-    return not polys.rem(polys.mul(f, f[::-1]), e)
+    return not polys.rem(polys.mul(r, polys.mul(f, f[::-1])), delta)
 
 
 def is_lagrangian(mod, p: Submodule) -> bool:
@@ -640,8 +558,9 @@ def is_lagrangian(mod, p: Submodule) -> bool:
 
 def isotropic_submodules(mod):
     """All isotropic submodules: the images f(T) A of a cyclic module with
-    e | f rev(f), e the reduced denominator of Bl(g, g) for a generator g
-    (`is_isotropic` has the proof).  Raises UnsupportedModule off-catalogue.
+    Delta | r f rev(f), r the residue of Bl(g, g) = r/Delta for a generator
+    g (`is_isotropic` has the proof).  Raises UnsupportedModule
+    off-catalogue.
     """
     try:
         subs = submodules_cyclic(mod)

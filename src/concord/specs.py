@@ -262,6 +262,15 @@ def _int_field(doc, key, context):
                           f"got {value!r}") from None
 
 
+def _bool_field(doc, key, context, default):
+    """A JSON boolean field, default when absent."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{context}: field {key!r} must be a boolean, "
+                          f"got {value!r}")
+    return value
+
+
 def _str_field(doc, key, context, default=""):
     """A string field; required when default is None."""
     value = _require(doc, key, context) if default is None \
@@ -318,7 +327,7 @@ def parse_fact(doc) -> Fact:
 
 def parse_site(doc, context, depth) -> Site:
     infect = parse_knot(_require(doc, "infect", f"{context}.site"), depth + 1)
-    if doc.get("second_derived"):
+    if _bool_field(doc, "second_derived", f"{context}.site", False):
         return Site(infect=infect, second_derived=True)
     if "band_meridian" in doc:
         return Site(infect=infect, band_meridian=_int_field(
@@ -438,7 +447,7 @@ def parse_link(doc) -> LinkSpec:
     comps = tuple(parse_knot(d) for d in _list_field(doc, "components", ctx))
     infections = tuple(
         LinkInfection(parse_knot(_require(i, "infect", ctx)),
-                      bool(i.get("nontrivial", True)))
+                      _bool_field(i, "nontrivial", ctx, True))
         for i in _list_field(doc, "infections", ctx))
     nullity = doc.get("declared_nullity")
     rho0 = tuple(_rho0_term(p, ctx)
@@ -452,6 +461,7 @@ def parse_link(doc) -> LinkSpec:
 
 def parse_document(doc):
     """Top-level dispatch: a document is a knot unless marked as a link."""
-    if isinstance(doc, dict) and (doc.get("link") or "components" in doc):
+    if isinstance(doc, dict) and (_bool_field(doc, "link", "document", False)
+                                  or "components" in doc):
         return parse_link(doc)
     return parse_knot(doc)

@@ -4,9 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 from concord import polys
-from concord.alexander import (BL_ZERO, AlexanderModule, NotCyclic, Submodule,
-                               _pivot, _reduce, _reduce_mod_ring, _rref,
-                               _unit_vectors, submodules_cyclic)
+from concord.alexander import (AlexanderModule, NotCyclic, Submodule, _pivot,
+                               _reduce, _rref, _unit_vectors,
+                               submodules_cyclic)
 from concord.laurent import LaurentPoly, factor, normalize
 from concord.seifert import SeifertMatrix, alexander_poly, presentation_matrix
 
@@ -426,10 +426,12 @@ def ratfunc_solve(mat, rhs):
 
 def oracle_blanchfield(mod, x, y, solved=None):
     """x-bar^T (t - 1) (tV - V^T)^{-1} y over Q(t), one gcd per operation:
-    the rational-function engine the adjugate form replaced.  `solved`, a
-    dict, keeps the solves of (tV - V^T) w = rep(y) across calls."""
+    the rational-function engine the adjugate form replaced, returned as
+    the residue r mod Delta with Bl = r/Delta (`_ratfunc_residue`).
+    `solved`, a dict, keeps the solves of (tV - V^T) w = rep(y) across
+    calls."""
     if mod.dim == 0:
-        return BL_ZERO
+        return ()
     if solved is None:
         solved = {}
     if tuple(y) not in solved:
@@ -444,9 +446,57 @@ def oracle_blanchfield(mod, x, y, solved=None):
             rev = polys.trim([F(0)] * (dmax - polys.deg(pj)) + list(reversed(pj)))
             total = total + wj * rev
     if total.is_zero:
-        return BL_ZERO
+        return ()
     num = polys.mul(total.num, [F(-1), F(1)])
-    return _reduce_mod_ring(num, total.den, -dmax)
+    return _ratfunc_residue(num, total.den, -dmax, mod.delta.to_dense()[0])
+
+
+def _inverse_mod(a, m):
+    """u with a u = 1 mod m, by the extended Euclidean algorithm."""
+    r0, r1, s0, s1 = list(m), list(a), [], [F(1)]
+    while r1:
+        q, r = polys.divmod_poly(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, polys.sub(s0, polys.mul(q, s1))
+    assert polys.deg(r0) == 0, "not a unit"
+    u = polys.rem(polys.scale(s0, 1 / r0[0]), m)
+    assert polys.rem(polys.mul(a, u), m) == [1]
+    return u
+
+
+def _ratfunc_residue(num, den, shift, delta):
+    """r with t^shift num/den = r/Delta mod Q[t, t^-1], deg r < deg Delta.
+    Delta annihilates the module, so once its factors t are moved into the
+    shift, den divides Delta (checked by the exact division)."""
+    den = list(den)
+    while den[0] == 0:
+        den.pop(0)
+        shift -= 1
+    r = polys.mul(num, polys.exact_div(delta, den))
+    if shift >= 0:
+        r = polys.mul_xk(r, shift)
+    else:
+        t_inv = _inverse_mod([F(0), F(1)], delta)
+        for _ in range(-shift):
+            r = polys.rem(polys.mul(r, t_inv), delta)
+    return tuple(polys.rem(r, delta))
+
+
+def bl_t_multiple(mod, r):
+    """The residue of t Bl for Bl = r/Delta."""
+    delta, _ = mod.delta.to_dense()
+    return tuple(polys.rem(polys.mul_xk(list(r), 1), delta))
+
+
+def bl_conjugate(mod, r):
+    """The residue of Bl-bar = Bl(1/t) for Bl = r/Delta with Delta
+    symmetric: r(1/t)/Delta(1/t) = t^(deg Delta - deg r) rev(r)/rev(Delta)
+    and rev(Delta) = Delta."""
+    delta, _ = mod.delta.to_dense()
+    assert delta[::-1] == delta, "Delta is not symmetric"
+    if not r:
+        return ()
+    rev = polys.trim(list(reversed(r)))
+    return tuple(polys.rem(polys.mul_xk(rev, len(delta) - len(r)), delta))
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +766,7 @@ def blanchfield_pairs_isotropic(mod, p):
     """Bl(a, b) = 0 for every pair of basis vectors of P: the isotropy test
     that the one-value criterion on cyclic modules replaced.  It holds on
     any module, cyclic or not."""
-    return all(mod.blanchfield(a, b).is_zero for a in p.basis for b in p.basis)
+    return not any(mod.blanchfield(a, b) for a in p.basis for b in p.basis)
 
 
 class FreeMatrix(SeifertMatrix):

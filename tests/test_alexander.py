@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from concord import polys
 from concord.alexander import (NotCyclic, UnsupportedModule, is_isotropic,
                                is_lagrangian, isotropic_submodules,
                                lagrangians, orthogonal_complement, present,
@@ -12,7 +13,9 @@ from concord.laurent import LaurentPoly, normalize, render
 from concord.seifert import (connected_sum, genus_one, stabilize, torus_knot,
                              twist_knot, unknot)
 
-from helpers import (oracle_blanchfield, proper_submodules, qi_charpoly,
+import test_isotropy
+from helpers import (FreeMatrix, bl_conjugate, bl_t_multiple,
+                     oracle_blanchfield, proper_submodules, qi_charpoly,
                      random_seifert)
 
 F = Fraction
@@ -46,32 +49,32 @@ def test_present_connected_sum_dimension():
 def test_blanchfield_hand_computation():
     mod = present(twist_knot(2))
     x = mod.incl_surface([1, 2])
-    assert mod.blanchfield(x, x).is_zero
+    assert mod.blanchfield(x, x) == ()
     y = mod.incl_surface([1, 0])
     val = mod.blanchfield(y, y)
-    assert not val.is_zero
-    # canonical denominator is the Alexander polynomial
+    # r/Delta in lowest terms has denominator the Alexander polynomial
     dd, _ = mod.delta.to_dense()
-    assert list(val.den) == list(dd)
+    assert 0 <= polys.deg(list(val)) < polys.deg(dd)
+    assert polys.deg(polys.gcd_monic(list(val), dd)) == 0
 
 
 def test_blanchfield_zero_argument():
     mod = present(twist_knot(2))
     zero = tuple(F(0) for _ in range(mod.dim))
     x = mod.incl_surface([1, 0])
-    assert mod.blanchfield(x, zero).is_zero
-    assert mod.blanchfield(zero, x).is_zero
+    assert mod.blanchfield(x, zero) == ()
+    assert mod.blanchfield(zero, x) == ()
 
 
 def test_blanchfield_hermitian_and_sesquilinear():
     mod = present(twist_knot(2))
     x = mod.incl_surface([1, 0])
     y = mod.incl_surface([0, 1])
-    assert mod.blanchfield(x, y) == mod.blanchfield(y, x).conjugate()
+    assert mod.blanchfield(x, y) == bl_conjugate(mod, mod.blanchfield(y, x))
     # linear in the second slot over Q[t, t^-1]; conjugate-linear in the first
     tx = mod.t_action(x)
     ty = mod.t_action(y)
-    assert mod.blanchfield(x, ty) == mod.blanchfield(x, y).t_multiple()
+    assert mod.blanchfield(x, ty) == bl_t_multiple(mod, mod.blanchfield(x, y))
     assert mod.blanchfield(tx, ty) == mod.blanchfield(x, y)
 
 
@@ -206,8 +209,9 @@ def test_degenerate_presentation_matches_direct():
 
 def test_blanchfield_matches_rational_function_oracle():
     """The adjugate form over det(tV - V^T) against the Q(t) engine it
-    replaced, on modules with det V != 0 and on modules of stabilized,
-    hence singular, V."""
+    replaced, on modules with det V != 0, on modules of stabilized, hence
+    singular, V, and on FreeMatrix modules, whose det(V - V^T) is not +-1
+    and whose Delta need not be symmetric."""
     rng = random.Random(11)
     mods = {"direct": [], "degen": []}
     while len(mods["direct"]) < 6 or len(mods["degen"]) < 4:
@@ -224,7 +228,15 @@ def test_blanchfield_matches_rational_function_oracle():
         kind = "direct" if mod.dim == v.size else "degen"
         if len(mods[kind]) < (6 if kind == "direct" else 4):
             mods[kind].append(mod)
-    for mod in mods["direct"] + mods["degen"]:
+    free = [m for label, m in test_isotropy.MODULES
+            if label.startswith("free/") and m.dim > 0]
+    assert any(m.delta.to_dense()[0][::-1] != m.delta.to_dense()[0]
+               for m in free)
+    # 2V: det(tV - V^T) = c t^k Delta with |c| = 2^n, on a nonzero form
+    free += [present(FreeMatrix.from_rows([[2 * e for e in row]
+                                           for row in m.V.entries]))
+             for m in (mods["direct"][0], mods["degen"][0])]
+    for mod in mods["direct"] + mods["degen"] + free:
         n = mod.dim
         basis = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
         vecs = basis + [tuple(F(rng.randint(-3, 3), rng.randint(1, 3))

@@ -2,8 +2,8 @@
 either run or exit with a documented code and a one-line message; and
 the exit codes of non-integral numbers, of Delta above the
 factorization bound, of Seifert matrices above it, of files that are not
-UTF-8 or nest too deeply for the JSON decoder, and of knot trees above
-the nesting bound."""
+UTF-8 or nest too deeply for the JSON decoder, of knot trees above the
+nesting bound, and of flags that are not JSON booleans."""
 
 import contextlib
 import copy
@@ -204,3 +204,36 @@ def test_knot_tree_at_nesting_bound_runs(tmp_path):
         code, out, err = _run(["--format", "json", "report", str(path)])
         assert code == 0 and not err
         assert json.loads(out)
+
+
+TREFOIL = {"name": "T", "family": {"type": "torus", "p": 2, "q": 3}}
+
+
+def _infected_link(flag, link=True):
+    """The trivial two-component link infected by one trefoil."""
+    return {"name": "L", "link": link, "structure": "infected_trivial",
+            "components": ["U1", "U2"],
+            "infections": [{"infect": TREFOIL, "nontrivial": flag}]}
+
+
+def _site(flag):
+    return {"name": "K", "family": {"type": "twist", "tw": 2},
+            "sites": [{"infect": TREFOIL, "second_derived": flag}]}
+
+
+@pytest.mark.parametrize("document,command,valid", [
+    (_infected_link, "cooper", False),
+    (lambda flag: _infected_link(False, link=flag), "cooper", True),
+    (_site, "report", True)],
+    ids=["nontrivial", "link", "second_derived"])
+def test_flags_must_be_json_booleans(tmp_path, document, command, valid):
+    # "false" is a truthy string: read by truthiness it set the flag
+    path = tmp_path / "k.json"
+    for value in ("false", 0, None, [True]):
+        path.write_text(json.dumps(document(value)))
+        code, out, err = _run([command, str(path)])
+        assert code == 2 and not out, (value, out)
+        assert len(err.strip().splitlines()) == 1
+        assert "must be a boolean" in err
+    path.write_text(json.dumps(document(valid)))
+    assert _run([command, str(path)])[0] == 0

@@ -1,8 +1,8 @@
 """Isotropy on a cyclic Alexander module from one Blanchfield value against
 the Blanchfield-pairs oracle in helpers.py, on every submodule; the
 early-exit minimal polynomial and the generator search against the full
-lcm; non-cyclic modules refused; and `concord lagrangians` on the golden
-specs, byte for byte."""
+lcm; non-cyclic modules refused; and `concord lagrangians` and
+`concord report` on the golden specs, byte for byte."""
 
 import contextlib
 import io
@@ -123,9 +123,9 @@ def _kind(mod):
     g = mod.generator()
     bl = mod.blanchfield(g, g)
     delta, _ = mod.delta.to_dense()
-    if bl.is_zero:
+    if not bl:
         return "zero form"
-    if polys.deg(list(bl.den)) < polys.deg(delta):
+    if polys.deg(polys.gcd_monic(list(bl), delta)) > 0:
         return "degenerate form"
     return "nonsingular form"
 
@@ -224,12 +224,23 @@ def test_cli_lagrangians_on_equal_summands_exits_3(tmp_path):
     assert len(err.strip().splitlines()) == 1, err
 
 
-@pytest.mark.parametrize("name", GOLDEN)
-def test_golden_lagrangians(name):
+def _golden(name, command):
+    """`concord --format json [--assume] <command>` on a golden spec against
+    its committed output, byte for byte."""
     args = ["--format", "json"]
     assume = DATA / f"{name}.assume.json"
     if assume.exists():
         args += ["--assume", str(assume)]
-    code, out, _ = _run(args + ["lagrangians", str(DATA / f"{name}.spec.json")])
+    code, out, _ = _run(args + [command, str(DATA / f"{name}.spec.json")])
     assert code == 0
-    assert out == (DATA / f"{name}.lagrangians.json").read_text()
+    assert out.encode() == (DATA / f"{name}.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_lagrangians(name):
+    _golden(name, "lagrangians")
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_reports(name):
+    _golden(name, "report")
