@@ -11,7 +11,7 @@ Library layout:
 """
 
 from .laurent import LaurentPoly, PrimeFactorization
-from .seifert import CertifiedReal, JumpSet, SeifertMatrix, UnitCirclePoint
+from .seifert import SeifertMatrix, UnitCirclePoint
 from .alexander import AlexanderModule, Submodule
 from .metabolizers import DerivativeLink, Metabolizer
 from .calculus import Assumptions, InfectionDesc, SigExpr
@@ -20,7 +20,7 @@ from .pipeline import Verdict, ingest, report
 
 __all__ = [
     "LaurentPoly", "PrimeFactorization",
-    "CertifiedReal", "JumpSet", "SeifertMatrix", "UnitCirclePoint",
+    "SeifertMatrix", "UnitCirclePoint",
     "AlexanderModule", "Submodule",
     "DerivativeLink", "Metabolizer",
     "Assumptions", "InfectionDesc", "SigExpr",

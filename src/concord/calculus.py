@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import alexander, seifert, specs
+from . import alexander, specs
 from .alexander import Submodule
+from .certified import Interval
 from .records import field, frozen
 
 F = Fraction
@@ -149,65 +150,8 @@ class SigExpr:
 
 
 # ---------------------------------------------------------------------------
-# Intervals and assumptions
+# Assumptions
 # ---------------------------------------------------------------------------
-
-@frozen
-class Interval:
-    """Extended interval with open/closed finite endpoints; None = infinite."""
-
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    lo_open: bool = False
-    hi_open: bool = False
-
-    @classmethod
-    def point(cls, x):
-        x = F(x)
-        return cls(x, x)
-
-    @classmethod
-    def from_certified(cls, c):
-        return cls(c.lo, c.hi)
-
-    def __add__(self, other):
-        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return Interval(lo, hi,
-                        self.lo_open or other.lo_open,
-                        self.hi_open or other.hi_open)
-
-    def scale(self, c):
-        c = F(c)
-        if c == 0:
-            return Interval.point(0)
-        if c > 0:
-            return Interval(None if self.lo is None else c * self.lo,
-                            None if self.hi is None else c * self.hi,
-                            self.lo_open, self.hi_open)
-        return Interval(None if self.hi is None else c * self.hi,
-                        None if self.lo is None else c * self.lo,
-                        self.hi_open, self.lo_open)
-
-    @property
-    def excludes_zero(self):
-        if self.lo is not None and (self.lo > 0 or (self.lo == 0 and self.lo_open)):
-            return True
-        if self.hi is not None and (self.hi < 0 or (self.hi == 0 and self.hi_open)):
-            return True
-        return False
-
-    @property
-    def is_exact_zero(self):
-        return self.lo == 0 and self.hi == 0
-
-    def render(self):
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "inf" if self.hi is None else str(self.hi)
-        lb = "(" if self.lo_open or self.lo is None else "["
-        rb = ")" if self.hi_open or self.hi is None else "]"
-        return f"{lb}{lo}, {hi}{rb}"
-
 
 _SIGN_INTERVALS = {
     "positive": Interval(F(0), None, lo_open=True),
@@ -316,6 +260,8 @@ def _assumption(name, kind, value="", lo=None, hi=None, provenance=""):
     for bound in (lo, hi):
         if bound is not None:
             specs.rational_text(bound, ctx)
+    if lo is not None and hi is not None and F(hi) < F(lo):
+        raise specs.SchemaError(f"{ctx}: empty interval [{lo}, {hi}]")
     return Assumption(kind, value, lo=lo, hi=hi, provenance=provenance)
 
 
@@ -347,17 +293,10 @@ class EvalResult:
         return self.certified and (self.interval.excludes_zero or self.nonzero)
 
 
-def evaluate(expr: SigExpr, assumptions: Assumptions | None = None,
-             target_radius=F(1, 10 ** 9), rho0=None) -> EvalResult:
-    """Resolve rho0 atoms by certified integration and opaque atoms by
-    assumption; assumptions win over computation when both apply.  rho0
-    maps a knot spec to its certified rho0 (None if it has no matrix);
-    by default it is computed here at target_radius."""
-    assumptions = assumptions or Assumptions()
-    if rho0 is None:
-        def rho0(spec):
-            v = specs.seifert_matrix(spec)
-            return None if v is None else seifert.rho0(v, target_radius)
+def evaluate(expr: SigExpr, assumptions: Assumptions, rho0) -> EvalResult:
+    """Resolve opaque atoms by assumption and rho0 atoms through rho0;
+    assumptions win over computation when both apply.  rho0 maps a knot
+    spec to its certified rho0 Interval (None if it has no matrix)."""
     interval = Interval.point(expr.const)
     unresolved = []
     used = []
@@ -379,7 +318,7 @@ def evaluate(expr: SigExpr, assumptions: Assumptions | None = None,
         if atom.kind == "rho0" and atom.spec is not None:
             cert = rho0(atom.spec)
             if cert is not None:
-                interval = interval + Interval.from_certified(cert).scale(coeff)
+                interval = interval + cert.scale(coeff)
                 continue
         unresolved.append(atom)
     return EvalResult(interval, tuple(unresolved),

@@ -1,5 +1,8 @@
 """Certified real enclosures with exact rational endpoints.
 
+`Interval` is the one enclosure type: rho0, assumptions and evaluated
+signature expressions are all intervals.
+
 Everything here is directed: sqrt via integer square roots, arctan via
 argument halving plus an alternating series whose truncation error is
 bounded by the first omitted term, pi via Machin's formula.  No floating
@@ -18,66 +21,72 @@ F = Fraction
 
 
 @frozen
-class CertifiedReal:
-    """Closed interval [mid - rad, mid + rad], both endpoints rational."""
+class Interval:
+    """Extended interval with open/closed finite endpoints; None = infinite.
 
-    mid: Fraction
-    rad: Fraction
+    An interval with both ends finite is never empty: hi < lo raises.
+    `mid` and `rad` need both ends finite.
+    """
+
+    lo: Fraction | None = None
+    hi: Fraction | None = None
+    lo_open: bool = False
+    hi_open: bool = False
 
     def __post_init__(self):
-        if self.rad < 0:
-            raise ValueError("negative radius")
+        if self.lo is not None and self.hi is not None and self.hi < self.lo:
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
-    def exact(cls, x):
-        return cls(F(x), F(0))
-
-    @classmethod
-    def from_endpoints(cls, lo, hi):
-        lo, hi = F(lo), F(hi)
-        if hi < lo:
-            raise ValueError("empty interval")
-        return cls((lo + hi) / 2, (hi - lo) / 2)
+    def point(cls, x):
+        x = F(x)
+        return cls(x, x)
 
     @property
-    def lo(self):
-        return self.mid - self.rad
+    def mid(self):
+        return (self.lo + self.hi) / 2
 
     @property
-    def hi(self):
-        return self.mid + self.rad
+    def rad(self):
+        return (self.hi - self.lo) / 2
 
     def __add__(self, other):
-        if isinstance(other, CertifiedReal):
-            return CertifiedReal(self.mid + other.mid, self.rad + other.rad)
-        return CertifiedReal(self.mid + F(other), self.rad)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CertifiedReal(-self.mid, self.rad)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, CertifiedReal)
-                       else CertifiedReal.exact(-F(other)))
+        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
+        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
+        return Interval(lo, hi,
+                        self.lo_open or other.lo_open,
+                        self.hi_open or other.hi_open)
 
     def scale(self, c):
         c = F(c)
-        return CertifiedReal(self.mid * c, self.rad * abs(c))
-
-    def contains(self, x):
-        return self.lo <= F(x) <= self.hi
+        if c == 0:
+            return Interval.point(0)
+        if c > 0:
+            return Interval(None if self.lo is None else c * self.lo,
+                            None if self.hi is None else c * self.hi,
+                            self.lo_open, self.hi_open)
+        return Interval(None if self.hi is None else c * self.hi,
+                        None if self.lo is None else c * self.lo,
+                        self.hi_open, self.lo_open)
 
     @property
     def excludes_zero(self):
-        return self.lo > 0 or self.hi < 0
+        if self.lo is not None and (self.lo > 0 or (self.lo == 0 and self.lo_open)):
+            return True
+        if self.hi is not None and (self.hi < 0 or (self.hi == 0 and self.hi_open)):
+            return True
+        return False
 
     @property
     def is_exact_zero(self):
-        return self.mid == 0 and self.rad == 0
+        return self.lo == 0 and self.hi == 0
 
-    def __repr__(self):
-        return f"CertifiedReal(mid={self.mid}, rad={self.rad})"
+    def render(self):
+        lo = "-inf" if self.lo is None else str(self.lo)
+        hi = "inf" if self.hi is None else str(self.hi)
+        lb = "(" if self.lo_open or self.lo is None else "["
+        rb = ")" if self.hi_open or self.hi is None else "]"
+        return f"{lb}{lo}, {hi}{rb}"
 
 
 def sqrt_bounds(q: Fraction, bits: int):

@@ -306,8 +306,7 @@ class Request:
         return self._once(("rho0", v), lambda: sf.rho0(v, self.radius))
 
     def evaluate(self, expr: SigExpr) -> EvalResult:
-        return calculus.evaluate(expr, self.assumptions, self.radius,
-                                 self.rho0)
+        return calculus.evaluate(expr, self.assumptions, self.rho0)
 
     # -- per knot ------------------------------------------------------------
 
@@ -354,6 +353,11 @@ class Request:
                 if s.second_derived:
                     sites.append(calculus.ResolvedSite(None, s.infect))
                 elif s.band_meridian is not None:
+                    if not 0 <= s.band_meridian < mod.V.size:
+                        raise SchemaError(
+                            f"{spec.name}: band_meridian {s.band_meridian} "
+                            f"is out of range: the surface has "
+                            f"{mod.V.size} bands")
                     sites.append(calculus.ResolvedSite(
                         _band_meridian_class(mod, s.band_meridian), s.infect))
                 else:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 from . import certified, intlinalg, polys
-from .certified import CertifiedReal
+from .certified import Interval
 from .laurent import LaurentPoly, normalize
 from .records import frozen
 
@@ -348,17 +348,6 @@ class JumpPoint:
         return self.x_lo == self.x_hi
 
 
-@frozen
-class JumpSet:
-    points: tuple  # tuple[JumpPoint], ascending in x
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
 def symmetrized_x_poly(v: SeifertMatrix):
     """G with Delta(t) = t^d * G(t + 1/t) for the canonical Delta."""
     delta = alexander_poly(v)
@@ -465,9 +454,10 @@ def _separate(sqf, intervals, width):
     raise ArithmeticError("root separation failed")
 
 
-def jump_set(v: SeifertMatrix) -> JumpSet:
-    """Certified isolating intervals for all jump locations, width < 2^-32."""
-    return JumpSet(tuple(_isolated_x_roots(v, F(1, 1 << 32))))
+def jump_set(v: SeifertMatrix) -> tuple:
+    """Certified isolating intervals (JumpPoints, x ascending) for all
+    jump locations, width < 2^-32."""
+    return tuple(_isolated_x_roots(v, F(1, 1 << 32)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +511,7 @@ def _arc_signatures(v: SeifertMatrix, roots):
     return sigmas, desc
 
 
-def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> CertifiedReal:
+def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> Interval:
     """Certified enclosure of the circle average of the signature function.
 
     The integrand is a step function; by conjugation symmetry the average
@@ -535,7 +525,7 @@ def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> CertifiedReal:
     if target_radius <= 0:
         raise ValueError("target_radius must be positive")
     if v.size == 0:
-        return CertifiedReal.exact(0)
+        return Interval.point(0)
     sqf, _, roots = _x_roots(v)
     width = F(1, 1 << 34)
     bits = 48
@@ -547,7 +537,7 @@ def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> CertifiedReal:
             sigmas, _ = _arc_signatures(v, points)
         desc = points[::-1]
         if not desc:
-            return CertifiedReal.exact(0)
+            return Interval.point(0)
         lo_acc, hi_acc = F(0), F(0)
         # integral/pi = sum_j sigma_j (phi_{j+1} - phi_j)
         #            = sum_j (sigma_{j-1} - sigma_j) phi_j + sigma_last
@@ -573,7 +563,7 @@ def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> CertifiedReal:
             grid = 1 << m
             lo_r = F((lo_acc * grid).__floor__(), grid)
             hi_r = F(-((-hi_acc * grid).__floor__()), grid)
-            return CertifiedReal.from_endpoints(lo_r, hi_r)
+            return Interval(lo_r, hi_r)
         bits *= 2
         width = width * width
     raise ArithmeticError("rho0 failed to reach the requested radius")

@@ -449,14 +449,17 @@ def parse_link(doc) -> LinkSpec:
         LinkInfection(parse_knot(_require(i, "infect", ctx)),
                       _bool_field(i, "nontrivial", ctx, True))
         for i in _list_field(doc, "infections", ctx))
-    nullity = doc.get("declared_nullity")
+    nullity = None
+    if doc.get("declared_nullity") is not None:
+        nullity = _int_field(doc, "declared_nullity", ctx)
+        if not 0 <= nullity < len(comps):
+            raise SchemaError(f"{ctx}: declared_nullity {nullity} is outside "
+                              f"[0, {len(comps) - 1}] for {len(comps)} "
+                              "components")
     rho0 = tuple(_rho0_term(p, ctx)
                  for p in _list_field(doc, "declared_rho0", ctx))
     facts = tuple(parse_fact(f) for f in _list_field(doc, "facts", ctx))
-    return LinkSpec(name, comps, structure, infections,
-                    None if nullity is None
-                    else _int_field(doc, "declared_nullity", ctx),
-                    rho0, facts)
+    return LinkSpec(name, comps, structure, infections, nullity, rho0, facts)
 
 
 def parse_document(doc):

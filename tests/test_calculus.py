@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from concord import alexander, pipeline, specs
+from concord import alexander, pipeline, seifert, specs
 from concord.calculus import (Assumptions, Atom, Interval, MissingBaseFact,
                               NotIsotropic, SigExpr, UnsupportedLink,
                               evaluate, first_order_sig, first_order_sig_set,
@@ -14,6 +14,11 @@ F = Fraction
 
 def a0(name):
     return Atom("rho0", f"rho0({name})")
+
+
+def rho0_of(spec):
+    v = specs.seifert_matrix(spec)
+    return None if v is None else seifert.rho0(v)
 
 
 def test_sigexpr_algebra():
@@ -49,12 +54,12 @@ def test_interval_logic():
 
 def test_evaluate_with_assumptions():
     e = SigExpr.of_atom(a0("X")) + SigExpr.of_atom(a0("Y"))
-    res = evaluate(e)
+    res = evaluate(e, Assumptions(), rho0_of)
     assert not res.certified and len(res.unresolved) == 2
     asm = Assumptions.from_dict({
         "rho0(X)": {"interval": ["6", None]},
         "rho0(Y)": {"value": "1/2"}})
-    res = evaluate(e, asm)
+    res = evaluate(e, asm, rho0_of)
     assert res.certified and res.excludes_zero
     assert res.interval.lo == F(13, 2) and res.interval.hi is None
     assert res.assumptions_used == ("rho0(X)", "rho0(Y)")
@@ -65,17 +70,18 @@ def test_evaluate_sign_and_nonzero():
     asm = Assumptions.from_dict({
         "rho0(P)": {"sign": "positive"},
         "rho0(Q)": {"sign": "nonnegative"}})
-    res = evaluate(e, asm)
+    res = evaluate(e, asm, rho0_of)
     assert res.certified and res.excludes_zero
     single = SigExpr.of_atom(a0("Z"), -3)
-    res2 = evaluate(single, Assumptions.from_dict({"rho0(Z)": {"sign": "nonzero"}}))
+    res2 = evaluate(single, Assumptions.from_dict(
+        {"rho0(Z)": {"sign": "nonzero"}}), rho0_of)
     assert res2.certified and res2.excludes_zero and res2.nonzero
 
 
 def test_evaluate_resolves_concrete_rho0():
     t23 = specs.KnotSpec("t23", specs.Torus(2, 3))
     e = SigExpr.of_atom(rho0_atom(t23), 3)
-    res = evaluate(e)
+    res = pipeline.Request(t23).evaluate(e)
     assert res.certified and res.excludes_zero
     assert res.interval.lo <= F(-4) <= res.interval.hi
 

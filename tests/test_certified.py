@@ -4,23 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from concord.certified import (CertifiedReal, acos_bounds, acos_over_pi,
+from concord.certified import (Interval, acos_bounds, acos_over_pi,
                                atan_bounds, pi_bounds, sqrt_bounds)
 
 F = Fraction
 
 
-def test_certified_real_arithmetic():
-    a = CertifiedReal(F(1, 2), F(1, 8))
-    b = CertifiedReal(F(-1, 4), F(1, 16))
-    s = a + b
-    assert s.mid == F(1, 4) and s.rad == F(3, 16)
-    assert (-a).mid == F(-1, 2)
-    assert a.scale(-2).rad == F(1, 4)
-    assert a.contains(F(1, 2)) and a.excludes_zero
-    assert not CertifiedReal(F(1, 2), F(3, 4)).excludes_zero
-    with pytest.raises(ValueError):
-        CertifiedReal(F(0), F(-1))
+def test_interval_midpoint_radius_and_emptiness():
+    a = Interval(F(3, 8), F(5, 8))
+    assert a.mid == F(1, 2) and a.rad == F(1, 8)
+    assert a.lo <= F(1, 2) <= a.hi and a.excludes_zero
+    assert not Interval(F(-1, 4), F(5, 4)).excludes_zero
+    p = Interval.point(F(-4, 3))
+    assert p.mid == F(-4, 3) and p.rad == 0
+    # hi < lo, a negative radius, is an empty interval
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(F(0), F(-1))
+    # an infinite end never makes an interval empty
+    assert Interval(F(1), None).lo == 1 and Interval(None, F(-1)).hi == -1
 
 
 def test_sqrt_bounds():

@@ -3,7 +3,9 @@ either run or exit with a documented code and a one-line message; and
 the exit codes of non-integral numbers, of Delta above the
 factorization bound, of Seifert matrices above it, of files that are not
 UTF-8 or nest too deeply for the JSON decoder, of knot trees above the
-nesting bound, and of flags that are not JSON booleans."""
+nesting bound, of flags that are not JSON booleans, and of empty
+intervals, band meridians off the surface and declared nullities out of
+range."""
 
 import contextlib
 import copy
@@ -237,3 +239,55 @@ def test_flags_must_be_json_booleans(tmp_path, document, command, valid):
         assert "must be a boolean" in err
     path.write_text(json.dumps(document(valid)))
     assert _run([command, str(path)])[0] == 0
+
+
+UNKNOT = {"name": "U", "family": {"type": "unknot"}}
+
+
+def _twist2(**fields):
+    return {"name": "K", "family": {"type": "twist", "tw": 2}, **fields}
+
+
+def _assumed_interval(lo, hi):
+    return _twist2(), {"rho0(K)": {"interval": [lo, hi]}}
+
+
+def _fact_interval(lo, hi):
+    return _twist2(facts=[{"kind": "siginterval", "atom": "rho0(K)",
+                           "lo": lo, "hi": hi, "provenance": "declared"}]), None
+
+
+def _band_site(band):
+    return _twist2(sites=[{"infect": TREFOIL, "band_meridian": band}]), None
+
+
+def _declared_nullity(nullity):
+    return {"name": "L", "link": True, "structure": "declared",
+            "components": [UNKNOT, UNKNOT], "declared_nullity": nullity}, None
+
+
+@pytest.mark.parametrize("document,command,invalid,valid", [
+    (_assumed_interval, "verdict", [("2", "1")], ("1", "2")),
+    (_fact_interval, "verdict", [("3", "1")], ("1", "3")),
+    (_band_site, "report", [(7,), (-1,), (2,)], (1,)),
+    (_declared_nullity, "cooper", [(5,), (-3,), (2,)], (1,))],
+    ids=["assume", "fact", "band", "nullity"])
+def test_out_of_range_inputs_are_schema_errors(tmp_path, document, command,
+                                                invalid, valid):
+    # read as given, an empty interval is "certified nonzero", a band off
+    # the surface the zero class and a nullity past c - 1 a negative
+    # Cooper bound
+    def run(params):
+        spec, assume = document(*params)
+        (tmp_path / "k.json").write_text(json.dumps(spec))
+        args = [command, str(tmp_path / "k.json")]
+        if assume is not None:
+            (tmp_path / "a.json").write_text(json.dumps(assume))
+            args = ["--assume", str(tmp_path / "a.json")] + args
+        return _run(args)
+
+    for params in invalid:
+        code, out, err = run(params)
+        assert code == 2 and not out, (params, out)
+        assert len(err.strip().splitlines()) == 1, err
+    assert run(valid)[0] == 0

@@ -244,3 +244,9 @@ def test_golden_lagrangians(name):
 @pytest.mark.parametrize("name", GOLDEN)
 def test_golden_reports(name):
     _golden(name, "report")
+    # `concord rho0` prints the report's rho0 block
+    code, out, _ = _run(["--format", "json", "rho0",
+                         str(DATA / f"{name}.spec.json")])
+    report = json.loads((DATA / f"{name}.report.json").read_text())
+    assert code == 0
+    assert json.loads(out) == {"name": report["name"], **report["rho0"]}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from concord import calculus, cli, pipeline, specs
+from concord import cli, pipeline, specs
 from concord.calculus import Assumptions
 from concord.pipeline import (CONSISTENT, INCONCLUSIVE, NOT_SLICE,
                               cooper_check, first_order_verdict, ingest,
@@ -141,7 +141,8 @@ def test_second_order_twist2_contains_zero():
     so = second_order_set(_twist(2))
     members = so.members
     assert members and all(
-        calculus.evaluate(m).is_exact_zero for m in members)
+        pipeline.Request(_twist(2)).evaluate(m).is_exact_zero
+        for m in members)
     assert second_order_verdict(_twist(2)).conclusion == CONSISTENT
 
 

@@ -35,7 +35,7 @@ def test_mirror_antisymmetry():
         assert lt_signature(mirror(v), OM(s)) == -lt_signature(v, OM(s))
     r = rho0(twist_knot(6))
     rm = rho0(mirror(twist_knot(6)))
-    assert rm.contains(-r.mid)
+    assert rm.lo <= -r.mid <= rm.hi
 
 
 def test_s_equivalence_invariance():
@@ -129,13 +129,15 @@ def test_algebraically_slice_implies_rho0_contains_zero():
     rng = random.Random(110)
     for _ in range(100):
         v, _ = random_metabolic(rng, rng.choice((1, 2)))
-        assert rho0(v, F(1, 10 ** 6)).contains(0)
+        r = rho0(v, F(1, 10 ** 6))
+        assert r.lo <= 0 <= r.hi
     # same check driven off the genus-one search instead of construction
     found = 0
     while found < 20:
         v = random_seifert(rng, 1, bound=4)
         if mb.genus1_metabolizers(v):
-            assert rho0(v, F(1, 10 ** 6)).contains(0)
+            r = rho0(v, F(1, 10 ** 6))
+            assert r.lo <= 0 <= r.hi
             found += 1
 
 
@@ -170,6 +172,10 @@ def test_derivative_antiderivative_round_trip():
         assert specs.seifert_matrix(ad).entries == target.entries
 
 
+def _no_rho0(spec):
+    raise AssertionError("every atom resolves by assumption")
+
+
 def test_sigexpr_sum_encloses_componentwise():
     rng = random.Random(113)
     names = [f"X{i}" for i in range(6)]
@@ -188,9 +194,9 @@ def test_sigexpr_sum_encloses_componentwise():
         for n, c in terms_b.items():
             eb = eb + calculus.SigExpr.of_atom(
                 calculus.Atom("rho0", f"rho0({n})"), c)
-        ra = calculus.evaluate(ea, asm).interval
-        rb = calculus.evaluate(eb, asm).interval
-        rsum = calculus.evaluate(ea + eb, asm).interval
+        ra = calculus.evaluate(ea, asm, _no_rho0).interval
+        rb = calculus.evaluate(eb, asm, _no_rho0).interval
+        rsum = calculus.evaluate(ea + eb, asm, _no_rho0).interval
         lo = ra.lo + rb.lo
         hi = ra.hi + rb.hi
         assert lo <= rsum.lo and rsum.hi <= hi

@@ -13,7 +13,7 @@ import pytest
 
 from concord import alexander, calculus, pipeline, specs
 from concord.calculus import Atom, InfectionDesc, SigExpr
-from concord.certified import CertifiedReal
+from concord.certified import Interval
 from concord.laurent import LaurentPoly
 from concord.records import field, frozen
 from concord.seifert import SeifertMatrix
@@ -107,8 +107,8 @@ def test_defaults_and_keywords():
 
 
 def test_post_init_still_validates():
-    with pytest.raises(ValueError, match="negative radius"):
-        CertifiedReal(F(0), F(-1))
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(F(0), F(-1))
     with pytest.raises(ValueError, match="square"):
         SeifertMatrix(((1, 0),))
     with pytest.raises(specs.SchemaError):
@@ -123,7 +123,6 @@ def test_repr():
     assert repr(FreeMatrix(((2,),))) == "FreeMatrix(entries=((2,),))"
     # class-defined reprs are kept
     assert repr(SigExpr(const=F(1, 2))) == "SigExpr('1/2')"
-    assert repr(CertifiedReal(F(1), F(0))) == "CertifiedReal(mid=1, rad=0)"
 
 
 def test_class_defined_methods_and_field_order():
