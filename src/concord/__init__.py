@@ -2,7 +2,7 @@
 
 Library layout:
 
-- laurent:      exact rational Laurent polynomials (gcd, factor, Fox-Milnor)
+- laurent:      exact rational Laurent polynomials (gcd, factor)
 - seifert:      Seifert matrices, Levine-Tristram signatures, certified rho0
 - alexander:    rational Alexander modules, Blanchfield form, Lagrangians
 - metabolizers: metabolizer search, derivatives and antiderivatives

@@ -25,10 +25,11 @@ isotropic for the Blanchfield form (validated by the test suite).
 
 Blanchfield values live in Delta^-1 Q[t,t^-1] / Q[t,t^-1], since Delta
 annihilates the module, so each is one residue r mod Delta with
-deg r < deg Delta: Bl(x, y) = r/Delta.  r comes from the adjugate-style
-matrix R with (tV - V^T)^{-1} = R/d, d = det(tV - V^T) = c t^k Delta, on
-the constant representatives in W, times the unit (t - 1) t^-k / c mod
-Delta.
+deg r < deg Delta: Bl(x, y) = r/Delta.  r comes from the column
+z = d (tV - V^T)^-1 y, d = det(tV - V^T) = c t^k Delta, for the constant
+representative y in W: one fraction-free elimination with y as its single
+right-hand column, once per distinct y; then x^T z times the unit
+(t - 1) t^-k / c mod Delta.
 
 Submodules are T-invariant subspaces stored as canonical RREF bases with
 their order ideals.  One Krylov elimination (`_krylov`) gives both the
@@ -41,12 +42,18 @@ Delta/f.
 Isotropy needs one Blanchfield value per module.  For a generator g of a
 cyclic A, sesquilinearity gives Bl(a f g, b f g) = a b-bar f f-bar Bl(g, g)
 (Levine, Knot modules I, 1977); so if Bl(g, g) = r/Delta, f(T) A is
-isotropic iff Delta divides r f f-bar, that is r f rev(f) in Q[t].
+isotropic iff Delta divides r f f-bar, that is r f rev(f) in Q[t].  The
+isotropic submodules and the Lagrangians therefore test each divisor f
+first (a Lagrangian also needs 2 deg f = deg Delta) and build the chain
+and RREF basis only for the divisors that pass: in the genus g, one
+elimination with a single column per module for Bl(g, g), plus O(g^3)
+rational operations per isotropic divisor.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import polys
@@ -93,8 +100,8 @@ class AlexanderModule:
         self.dim = len(t_matrix)
         self._min_poly = None
         self._generator = None
-        self._inv_cache = None
-        self._bl_cache = {}
+        self._columns = {}  # y -> d (tV - V^T)^-1 lift(y), see `_solve`
+        self._unit = None
 
     def minimal_polynomial(self):
         """The lcm of the unit vectors' annihilators, stopped once its
@@ -197,25 +204,23 @@ class AlexanderModule:
 
     # -- Blanchfield ------------------------------------------------------
 
-    def _presentation_inverse(self):
-        """(R, w) with (tV - V^T)^{-1} = R/d for d = det(tV - V^T), and
-        w = (t - 1) t^-k / c mod Delta where d = c t^k Delta.  Delta(0) != 0
-        (normalized), so t is a unit mod Delta; k >= 1 when V is singular."""
-        if self._inv_cache is None:
-            n = self.V.size
-            ident = [[[F(1)] if i == j else [] for j in range(n)]
-                     for i in range(n)]
-            d, r = polys.bareiss(presentation_matrix(self.V), ident)
-            delta, _ = self.delta.to_dense()
-            # Delta = normalize(d), so d / Delta is the monomial c t^k
-            q = polys.exact_div(d, delta)
-            k = polys.deg(q)
-            w = [F(-1) / q[k], F(1) / q[k]]
-            for _ in range(k):
-                # times t^-1 mod Delta: clear the constant term, divide by t
-                w = polys.sub(w, polys.scale(delta, w[0] / delta[0]))[1:]
-            self._inv_cache = r, polys.rem(w, delta)
-        return self._inv_cache
+    def _solve(self, y):
+        """The column z = d (tV - V^T)^-1 lift(y), d = det(tV - V^T), from
+        one Bareiss pass with lift(y) as the single right-hand column,
+        cached per y.  Bareiss needs integer entries and the lift is
+        rational when V is singular, so the column is scaled by its common
+        denominator m and z divided by m after.  The first pass also fixes
+        the unit w = (t - 1) t^-k / c mod Delta, where d = c t^k Delta."""
+        key = tuple(y)
+        if key not in self._columns:
+            ly = [F(c) for c in self._lift(y)]
+            m = math.lcm(*(c.denominator for c in ly))
+            d, z = polys.bareiss(presentation_matrix(self.V),
+                                 [[polys.const(m * c)] for c in ly])
+            if self._unit is None:
+                self._unit = _blanchfield_unit(d, self.delta)
+            self._columns[key] = [polys.scale(row[0], F(1, m)) for row in z]
+        return self._columns[key]
 
     def blanchfield(self, x, y):
         """The residue r of Bl(x, y) = r/Delta in Q(t)/Q[t, t^-1]: a tuple
@@ -223,26 +228,34 @@ class AlexanderModule:
 
         Bl(x, y) = x^T (t - 1) (tV - V^T)^-1 y on the constant lifts of the
         two classes (constant, so x-bar = x), that is (t - 1) X / d for
-        X = x^T R y; with d = c t^k Delta, r = X w mod Delta.  Every value
-        lies in Delta^-1 Q[t, t^-1] / Q[t, t^-1], so r is canonical.
+        X = x^T z and z = d (tV - V^T)^-1 y (`_solve`); with
+        d = c t^k Delta, r = X w mod Delta.  Every value lies in
+        Delta^-1 Q[t, t^-1] / Q[t, t^-1], so r is canonical.
         """
         if self.dim == 0:
             return ()
-        key = (tuple(x), tuple(y))
-        if key in self._bl_cache:
-            return self._bl_cache[key]
-        r, w = self._presentation_inverse()
-        ly = self._lift(y)
+        z = self._solve(y)
         total = []
-        for xi, row in zip(self._lift(x), r):
-            if xi:
-                for yj, rij in zip(ly, row):
-                    if yj and rij:
-                        total = polys.add(total, polys.scale(rij, xi * yj))
+        for xi, zi in zip(self._lift(x), z):
+            if xi and zi:
+                total = polys.add(total, polys.scale(zi, xi))
         delta, _ = self.delta.to_dense()
-        val = tuple(polys.rem(polys.mul(polys.rem(total, delta), w), delta))
-        self._bl_cache[key] = val
-        return val
+        return tuple(polys.rem(polys.mul(polys.rem(total, delta), self._unit),
+                               delta))
+
+
+def _blanchfield_unit(d, delta):
+    """w = (t - 1) t^-k / c mod Delta for d = c t^k Delta.  Delta(0) != 0
+    (normalized), so t is a unit mod Delta; k >= 1 when V is singular."""
+    delta, _ = delta.to_dense()
+    # Delta = normalize(d), so d / Delta is the monomial c t^k
+    q = polys.exact_div(d, delta)
+    k = polys.deg(q)
+    w = [F(-1) / q[k], F(1) / q[k]]
+    for _ in range(k):
+        # times t^-1 mod Delta: clear the constant term, divide by t
+        w = polys.sub(w, polys.scale(delta, w[0] / delta[0]))[1:]
+    return polys.rem(w, delta)
 
 
 def _matmul(a, b):
@@ -289,11 +302,13 @@ def _fitting(e, delta):
                           for row in inverse[len(kernel):])
 
 
-def present(v) -> AlexanderModule:
-    """Alexander module of a Seifert matrix, dimension deg(Delta)."""
+def present(v, delta=None) -> AlexanderModule:
+    """Alexander module of a Seifert matrix, dimension deg(Delta); delta is
+    `alexander_poly(v)` when the caller has it already."""
     n = v.size
     e = v.entries
-    delta = alexander_poly(v)
+    if delta is None:
+        delta = alexander_poly(v)
     d = delta.span
     if d == n:
         # det V != 0, the leading coefficient of Delta: ker A = P ker V = 0
@@ -457,24 +472,13 @@ def zero_submodule(mod) -> Submodule:
     return Submodule(mod, (), LaurentPoly.one())
 
 
-def submodules_cyclic(mod):
-    """All submodules of a cyclic module A = Q[t]/(Delta): the images
-    f(T) A, one for each divisor f of Delta up to units, f(T) A of order
-    Delta/f.
-
-    Each image is built from the generator g (`AlexanderModule.generator`):
-    A = Q[t] g, so f(T) A = Q[t] f(T) g, a cyclic module of order
-    Delta/f, and its chain f(T) g, T f(T) g, ..., T^(d-1) f(T) g for
-    d = deg(Delta/f) is a basis.  Per divisor T is applied
-    deg f + d - 1 = deg Delta - 1 times (deg Delta times for f = Delta)
-    and the RREF runs on d vectors: O(g^3) rational operations in the
-    genus g, against O(g^4) when f(T) is applied to all 2g unit vectors.
-    """
+def _divisors(mod):
+    """(Delta, divisors): Delta dense and its divisors up to units, the
+    products of its prime-power factors; NotCyclic off cyclic modules."""
     if not mod.is_cyclic:
         raise NotCyclic("submodule enumeration needs a cyclic module "
                         "(minimal polynomial must equal Delta)")
     delta, _ = mod.delta.to_dense()
-    gen = mod.generator()
     divisors = [[F(1)]]
     for f, m in laurent_factor(mod.delta).factors:
         fd, _ = f.to_dense()
@@ -482,20 +486,39 @@ def submodules_cyclic(mod):
         for _ in range(m):
             powers.append(polys.mul(powers[-1], fd))
         divisors = [polys.mul(d, q) for d in divisors for q in powers]
-    out = []
-    for f in divisors:
-        order = polys.exact_div(delta, f)
-        chain = [mod.poly_action(f, gen)]
-        for _ in range(polys.deg(order) - 1):
-            chain.append(mod.t_action(chain[-1]))
-        basis = _rref(chain, mod.dim)
-        if len(basis) != polys.deg(order):
-            raise ArithmeticError(
-                f"f(T)A has dimension {len(basis)}, not deg(Delta/f) = "
-                f"{polys.deg(order)}")
-        out.append(Submodule(mod, basis,
-                             normalize(LaurentPoly.from_dense(order))))
-    return sorted(out, key=lambda s: s.sort_key())
+    return delta, divisors
+
+
+def _image(mod, delta, f) -> Submodule:
+    """f(T) A for a divisor f of Delta, from the generator g
+    (`AlexanderModule.generator`): A = Q[t] g, so f(T) A = Q[t] f(T) g, a
+    cyclic module of order Delta/f, and its chain f(T) g, T f(T) g, ...,
+    T^(d-1) f(T) g for d = deg(Delta/f) is a basis."""
+    order = polys.exact_div(delta, f)
+    chain = [mod.poly_action(f, mod.generator())]
+    for _ in range(polys.deg(order) - 1):
+        chain.append(mod.t_action(chain[-1]))
+    basis = _rref(chain, mod.dim)
+    if len(basis) != polys.deg(order):
+        raise ArithmeticError(
+            f"f(T)A has dimension {len(basis)}, not deg(Delta/f) = "
+            f"{polys.deg(order)}")
+    return Submodule(mod, basis, normalize(LaurentPoly.from_dense(order)))
+
+
+def submodules_cyclic(mod):
+    """All submodules of a cyclic module A = Q[t]/(Delta): the images
+    f(T) A (`_image`), one for each divisor f of Delta up to units, f(T) A
+    of order Delta/f, sorted by `Submodule.sort_key`.
+
+    Per divisor T is applied deg f + d - 1 = deg Delta - 1 times
+    (deg Delta times for f = Delta) and the RREF runs on d vectors:
+    O(g^3) rational operations in the genus g, against O(g^4) when f(T)
+    is applied to all 2g unit vectors.
+    """
+    delta, divisors = _divisors(mod)
+    return sorted((_image(mod, delta, f) for f in divisors),
+                  key=Submodule.sort_key)
 
 
 def orthogonal_complement(mod, p: Submodule) -> Submodule:
@@ -529,6 +552,12 @@ def _kernel(rows, n):
     return out
 
 
+def _isotropic_divisor(r, delta, f):
+    """Whether f(T) A is isotropic, for Bl(g, g) = r/Delta (`is_isotropic`
+    has the proof): Delta | r f rev(f)."""
+    return not polys.rem(polys.mul(r, polys.mul(f, f[::-1])), delta)
+
+
 def is_isotropic(mod, p: Submodule) -> bool:
     """Whether Bl vanishes on P, decided from one Blanchfield value.
 
@@ -545,30 +574,44 @@ def is_isotropic(mod, p: Submodule) -> bool:
     if not mod.is_cyclic:
         raise UnsupportedModule("isotropy is decided on cyclic modules only")
     g = mod.generator()
-    r = list(mod.blanchfield(g, g))
     delta, _ = mod.delta.to_dense()
     order, _ = p.order_ideal.to_dense()
-    f = polys.exact_div(delta, order)
-    return not polys.rem(polys.mul(r, polys.mul(f, f[::-1])), delta)
+    return _isotropic_divisor(list(mod.blanchfield(g, g)), delta,
+                              polys.exact_div(delta, order))
 
 
 def is_lagrangian(mod, p: Submodule) -> bool:
     return is_isotropic(mod, p) and 2 * p.dim == mod.dim
 
 
+def _isotropic_images(mod, lagrangian_only):
+    """The isotropic images f(T) A, sorted as `submodules_cyclic` sorts
+    them: each divisor f of Delta is tested first (`_isotropic_divisor`,
+    and 2 deg f = deg Delta for a Lagrangian, since f(T) A has dimension
+    deg Delta - deg f), and only the divisors that pass get a basis."""
+    try:
+        delta, divisors = _divisors(mod)
+    except NotCyclic as exc:
+        raise UnsupportedModule(str(exc)) from exc
+    g = mod.generator()
+    r = list(mod.blanchfield(g, g))
+    keep = (f for f in divisors
+            if not lagrangian_only or 2 * polys.deg(f) == mod.dim)
+    return sorted((_image(mod, delta, f) for f in keep
+                   if _isotropic_divisor(r, delta, f)),
+                  key=Submodule.sort_key)
+
+
 def isotropic_submodules(mod):
     """All isotropic submodules: the images f(T) A of a cyclic module with
     Delta | r f rev(f), r the residue of Bl(g, g) = r/Delta for a generator
-    g (`is_isotropic` has the proof).  Raises UnsupportedModule
-    off-catalogue.
+    g (`is_isotropic` has the proof), each divisor tested before its basis
+    is built.  Raises UnsupportedModule off-catalogue.
     """
-    try:
-        subs = submodules_cyclic(mod)
-    except NotCyclic as exc:
-        raise UnsupportedModule(str(exc)) from exc
-    return [s for s in subs if is_isotropic(mod, s)]
+    return _isotropic_images(mod, lagrangian_only=False)
 
 
 def lagrangians(mod):
-    """All Lagrangians (exact half-dimensional self-annihilating submodules)."""
-    return [s for s in isotropic_submodules(mod) if 2 * s.dim == mod.dim]
+    """All Lagrangians (exact half-dimensional self-annihilating
+    submodules): the isotropic images f(T) A with 2 deg f = deg Delta."""
+    return _isotropic_images(mod, lagrangian_only=True)

@@ -3,7 +3,7 @@
 Carries the unit-of-Q[t,t^-1] bookkeeping the rest of the toolkit leans
 on: canonical forms make "equal up to units" a plain equality test, and
 conjugation t -> 1/t together with irreducible factorization supports
-the Fox-Milnor test and coprime module decompositions.
+coprime module decompositions.
 """
 
 from __future__ import annotations
@@ -227,25 +227,6 @@ def factor(p: LaurentPoly,
     if result.recompose() != p:
         raise ArithmeticError("factorization failed to recompose input")
     return result
-
-
-def fox_milnor(p: LaurentPoly) -> bool:
-    """True iff p = f(t) f(1/t) up to units for some f.
-
-    Decided on the factorization: conjugate pairs must occur with equal
-    multiplicity and self-conjugate factors with even multiplicity.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("Fox-Milnor test needs a nonzero polynomial")
-    mult = {f: m for f, m in factor(p).factors}
-    for f, m in mult.items():
-        fbar = conjugate(f)
-        if fbar == f:
-            if m % 2:
-                return False
-        elif mult.get(fbar, 0) != m:
-            return False
-    return True
 
 
 _TERM = re.compile(

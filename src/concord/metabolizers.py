@@ -149,8 +149,11 @@ def _diagonal_blocks(v: SeifertMatrix):
         for i in range(g)]
 
 
-def higher_genus_metabolizers(v: SeifertMatrix, search_bound: int = 3):
-    """Metabolizer search above genus one.
+def higher_genus_metabolizers(v: SeifertMatrix, search_bound: int = 3,
+                              delta=None):
+    """Metabolizer search above genus one; delta, when given, maps a
+    Seifert matrix to its Alexander polynomial (a caller's memo of
+    `alexander_poly`).
 
     complete=True means the list holds every metabolizer of V.  That is
     so for block-diagonal forms with pairwise-coprime nontrivial block
@@ -167,7 +170,7 @@ def higher_genus_metabolizers(v: SeifertMatrix, search_bound: int = 3):
         raise WrongGenus(f"genus {v.genus} matrix; need genus >= 2")
     blocks = _diagonal_blocks(v)
     if blocks is not None:
-        deltas = [alexander_poly(b) for b in blocks]
+        deltas = [(delta or alexander_poly)(b) for b in blocks]
         # unit block polynomials admit metabolizers far beyond the
         # blockwise ones, so completeness needs nontrivial coprime blocks
         coprime = all(d.span > 0 for d in deltas) and all(
@@ -681,10 +684,12 @@ def a_band_metabolizer(spec: specs.KnotSpec) -> Metabolizer:
 # Catalogued metabolizers of family knots
 # ---------------------------------------------------------------------------
 
-def catalogued_metabolizers(spec: specs.KnotSpec, search_bound: int = 3):
+def catalogued_metabolizers(spec: specs.KnotSpec, search_bound: int = 3,
+                            delta=None):
     """The metabolizers the derivative catalogue can consume, in canonical
     order, with a completeness flag for the underlying search (entries
-    up to search_bound where the higher-genus search is bounded)."""
+    up to search_bound where the higher-genus search is bounded; delta as
+    in `higher_genus_metabolizers`)."""
     v = specs.seifert_matrix(spec)
     if v is None:
         raise NotRepresentable(f"abstract knot {spec.name} has no matrix")
@@ -693,14 +698,15 @@ def catalogued_metabolizers(spec: specs.KnotSpec, search_bound: int = 3):
             return MetabolizerSearch((a_band_metabolizer(spec),), complete=False)
         except NotMetabolic:
             return MetabolizerSearch((), complete=False)
-    return matrix_metabolizers(v, search_bound)
+    return matrix_metabolizers(v, search_bound, delta)
 
 
-def matrix_metabolizers(v: SeifertMatrix, search_bound: int = 3):
+def matrix_metabolizers(v: SeifertMatrix, search_bound: int = 3,
+                        delta=None):
     """The metabolizers of a Seifert form by genus: none at genus 0, the
     complete genus-one factorization, else the higher-genus search."""
     if v.genus == 0:
         return MetabolizerSearch((), complete=True)
     if v.genus == 1:
         return MetabolizerSearch(tuple(genus1_metabolizers(v)), complete=True)
-    return higher_genus_metabolizers(v, search_bound)
+    return higher_genus_metabolizers(v, search_bound, delta)

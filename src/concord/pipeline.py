@@ -282,12 +282,22 @@ class Request:
 
     # -- per Seifert matrix -------------------------------------------------
 
+    def signature(self, v) -> sf.SignatureFunction:
+        """The signature function of a Seifert matrix: its Delta, root
+        isolation and arc signatures, shared by the module, rho0 and the
+        report's signature block."""
+        return self._once(("signature", v), lambda: sf.SignatureFunction(v))
+
+    def delta(self, v):
+        return self.signature(v).delta
+
     def module(self, spec: KnotSpec) -> alexander.AlexanderModule:
         v = specs.seifert_matrix(spec)
         if v is None:
             raise mb.NotRepresentable(
                 f"abstract knot {spec.name} has no Seifert data")
-        return self._once(("module", v), lambda: alexander.present(v))
+        return self._once(("module", v),
+                          lambda: alexander.present(v, self.delta(v)))
 
     def isotropic(self, mod):
         return self._once(("isotropic", mod.V),
@@ -303,7 +313,8 @@ class Request:
         v = specs.seifert_matrix(spec)
         if v is None:
             return None
-        return self._once(("rho0", v), lambda: sf.rho0(v, self.radius))
+        return self._once(("rho0", v),
+                          lambda: self.signature(v).rho0(self.radius))
 
     def evaluate(self, expr: SigExpr) -> EvalResult:
         return calculus.evaluate(expr, self.assumptions, self.rho0)
@@ -315,7 +326,8 @@ class Request:
         order), plus the search with its completeness flag."""
         def compute():
             mod = self.module(spec)
-            search = mb.catalogued_metabolizers(spec, self.search_bound)
+            search = mb.catalogued_metabolizers(spec, self.search_bound,
+                                                self.delta)
             mapping = {}
             for m in search:
                 lag = mb.metabolizer_to_lagrangian(mod, m)
@@ -626,11 +638,11 @@ class Request:
         doc["genus"] = v.genus
         doc["seifert_matrix"] = [list(r) for r in v.entries]
         doc["alexander_polynomial"] = lrender(mod.delta)
+        signature = self.signature(v)
         doc["signature_function"] = {
-            "arcs": [[str(lo), str(hi), s]
-                     for lo, hi, s in sf.signature_arcs(v)],
+            "arcs": [[str(lo), str(hi), s] for lo, hi, s in signature.arcs()],
             "jumps": [[str(p.x_lo), str(p.x_hi), p.multiplicity]
-                      for p in sf.jump_set(v)]}
+                      for p in signature.jumps()]}
         rho = self.rho0(spec)
         doc["rho0"] = {"mid": str(rho.mid), "rad": str(rho.rad)}
         metab_map, search = self.metabolizer_map(spec)

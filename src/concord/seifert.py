@@ -348,9 +348,8 @@ class JumpPoint:
         return self.x_lo == self.x_hi
 
 
-def symmetrized_x_poly(v: SeifertMatrix):
+def symmetrized_x_poly(delta: LaurentPoly):
     """G with Delta(t) = t^d * G(t + 1/t) for the canonical Delta."""
-    delta = alexander_poly(v)
     dense, _ = delta.to_dense()
     d2 = polys.deg(dense)
     if d2 % 2:
@@ -367,8 +366,8 @@ def symmetrized_x_poly(v: SeifertMatrix):
     return polys.trim(g)
 
 
-def _x_roots(v: SeifertMatrix):
-    """The precision-independent part of root isolation.
+def _x_roots(delta: LaurentPoly):
+    """The precision-independent part of root isolation, from Delta.
 
     Returns (sqf, boundary_mult, roots): sqf is the squarefree part of
     the symmetrized polynomial once its exact roots at x = -2 (of
@@ -376,7 +375,7 @@ def _x_roots(v: SeifertMatrix):
     (lo, hi, multiplicity) isolating each root of sqf in (-2, 2),
     ascending.
     """
-    g = symmetrized_x_poly(v)
+    g = symmetrized_x_poly(delta)
     if polys.deg(g) <= 0:
         return [], 0, []
     # x = -2 (omega = -1) can be an exact boundary root
@@ -421,10 +420,10 @@ def _interior_points(sqf, roots, width):
     return [JumpPoint(lo, hi, r[2]) for (lo, hi), r in zip(intervals, roots)]
 
 
-def _isolated_x_roots(v: SeifertMatrix, width: Fraction):
-    """Roots of the symmetrized polynomial in [-2, 2), isolated and
-    refined below the requested width.  Returns list of JumpPoint asc."""
-    sqf, boundary_mult, roots = _x_roots(v)
+def _isolated_x_roots(x_roots, width: Fraction):
+    """Roots of the symmetrized polynomial in [-2, 2), isolated (`_x_roots`)
+    and refined below the requested width.  Returns list of JumpPoint asc."""
+    sqf, boundary_mult, roots = x_roots
     points = _interior_points(sqf, _refine(sqf, roots, width), width)
     if boundary_mult:
         points.insert(0, JumpPoint(F(-2), F(-2), boundary_mult))
@@ -452,12 +451,6 @@ def _separate(sqf, intervals, width):
         intervals = [polys.refine_root(sqf, lo, hi, w) if i in bad else (lo, hi)
                      for i, (lo, hi) in enumerate(intervals)]
     raise ArithmeticError("root separation failed")
-
-
-def jump_set(v: SeifertMatrix) -> tuple:
-    """Certified isolating intervals (JumpPoints, x ascending) for all
-    jump locations, width < 2^-32."""
-    return tuple(_isolated_x_roots(v, F(1, 1 << 32)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +484,18 @@ def _sample_parameter(a: Fraction, b: Fraction) -> Fraction:
             return mid
 
 
+def _descending(roots):
+    """The interior JumpPoints, x descending (theta ascending)."""
+    return [r for r in reversed(roots) if not (r.is_exact and r.x_lo == -2)]
+
+
 def _arc_signatures(v: SeifertMatrix, roots):
     """Constant signature value on each open arc, theta ascending.
 
     roots: interior JumpPoints, sorted by x ascending; arcs are delimited
     in x by the isolating intervals, traversed from x = 2 down to -2.
     """
-    desc = [r for r in reversed(roots) if not (r.is_exact and r.x_lo == -2)]
+    desc = _descending(roots)
     sigmas = []
     upper = F(2)
     for r in desc:
@@ -511,62 +509,132 @@ def _arc_signatures(v: SeifertMatrix, roots):
     return sigmas, desc
 
 
-def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> Interval:
-    """Certified enclosure of the circle average of the signature function.
-
-    The integrand is a step function; by conjugation symmetry the average
-    equals (1/pi) * integral over [0, pi].  With no interior jumps the
-    value is exactly 0.  Delta, its isolated roots and the arc signatures
-    do not depend on the precision and are computed once; each round of
-    the precision loop refines the roots further and recomputes only the
-    arccos enclosures.
+class SignatureFunction:
+    """The signature function of one Seifert matrix.  Delta, the isolated
+    roots of its symmetrized polynomial (`_x_roots`) and the signature on
+    each arc (`_arc_signatures`) do not depend on a precision; each is
+    computed once, on first use, and shared by `rho0`, `arcs` and `jumps`.
+    The module-level `rho0`, `signature_arcs` and `jump_set` build one per
+    call; a `pipeline.Request` keeps one per matrix.
     """
-    target_radius = F(target_radius)
-    if target_radius <= 0:
-        raise ValueError("target_radius must be positive")
-    if v.size == 0:
-        return Interval.point(0)
-    sqf, _, roots = _x_roots(v)
-    width = F(1, 1 << 34)
-    bits = 48
-    sigmas = None
-    for _ in range(20):
-        roots = _refine(sqf, roots, width)
-        points = _interior_points(sqf, roots, width)
-        if sigmas is None:
-            sigmas, _ = _arc_signatures(v, points)
-        desc = points[::-1]
-        if not desc:
+
+    def __init__(self, v: SeifertMatrix):
+        self.v = v
+        self._delta = None
+        self._roots = None
+        self._sigmas = None
+
+    @property
+    def delta(self) -> LaurentPoly:
+        """normalize(det(tV - V^T)) (`alexander_poly`)."""
+        if self._delta is None:
+            self._delta = alexander_poly(self.v)
+        return self._delta
+
+    def x_roots(self):
+        """(sqf, boundary_mult, roots) of `_x_roots`."""
+        if self._roots is None:
+            self._roots = _x_roots(self.delta)
+        return self._roots
+
+    def arc_signatures(self, roots):
+        """(sigmas, desc) as `_arc_signatures` returns them.  The
+        signature is constant on each open arc between consecutive jumps,
+        so the sigmas found on one refinement of the roots hold on every
+        other; desc is that of the given roots."""
+        if self._sigmas is None:
+            self._sigmas, _ = _arc_signatures(self.v, roots)
+        return self._sigmas, _descending(roots)
+
+    def rho0(self, target_radius=F(1, 10 ** 9)) -> Interval:
+        """Certified enclosure of the circle average of the signature
+        function.
+
+        The integrand is a step function; by conjugation symmetry the
+        average equals (1/pi) * integral over [0, pi].  With no interior
+        jumps the value is exactly 0.  Each round of the precision loop
+        refines the roots further and recomputes only the arccos
+        enclosures.
+        """
+        target_radius = F(target_radius)
+        if target_radius <= 0:
+            raise ValueError("target_radius must be positive")
+        if self.v.size == 0:
             return Interval.point(0)
-        lo_acc, hi_acc = F(0), F(0)
-        # integral/pi = sum_j sigma_j (phi_{j+1} - phi_j)
-        #            = sum_j (sigma_{j-1} - sigma_j) phi_j + sigma_last
-        for j, r in enumerate(desc, start=1):
-            coeff = sigmas[j - 1] - sigmas[j]
-            if coeff == 0:
-                continue
-            phi_lo, phi_hi = certified.acos_over_pi(
-                r.x_lo / 2, r.x_hi / 2, bits)
-            if coeff > 0:
-                lo_acc += coeff * phi_lo
-                hi_acc += coeff * phi_hi
-            else:
-                lo_acc += coeff * phi_hi
-                hi_acc += coeff * phi_lo
-        lo_acc += sigmas[-1]
-        hi_acc += sigmas[-1]
-        if (hi_acc - lo_acc) / 2 <= target_radius / 2:
-            # round outward to a dyadic grid so endpoints stay small
-            m = 2
-            while F(1, 1 << m) > target_radius / 8:
-                m += 1
-            grid = 1 << m
-            lo_r = F((lo_acc * grid).__floor__(), grid)
-            hi_r = F(-((-hi_acc * grid).__floor__()), grid)
-            return Interval(lo_r, hi_r)
-        bits *= 2
-        width = width * width
-    raise ArithmeticError("rho0 failed to reach the requested radius")
+        sqf, _, roots = self.x_roots()
+        width = F(1, 1 << 34)
+        bits = 48
+        for _ in range(20):
+            roots = _refine(sqf, roots, width)
+            points = _interior_points(sqf, roots, width)
+            sigmas, desc = self.arc_signatures(points)
+            if not desc:
+                return Interval.point(0)
+            lo_acc, hi_acc = F(0), F(0)
+            # integral/pi = sum_j sigma_j (phi_{j+1} - phi_j)
+            #            = sum_j (sigma_{j-1} - sigma_j) phi_j + sigma_last
+            for j, r in enumerate(desc, start=1):
+                coeff = sigmas[j - 1] - sigmas[j]
+                if coeff == 0:
+                    continue
+                phi_lo, phi_hi = certified.acos_over_pi(
+                    r.x_lo / 2, r.x_hi / 2, bits)
+                if coeff > 0:
+                    lo_acc += coeff * phi_lo
+                    hi_acc += coeff * phi_hi
+                else:
+                    lo_acc += coeff * phi_hi
+                    hi_acc += coeff * phi_lo
+            lo_acc += sigmas[-1]
+            hi_acc += sigmas[-1]
+            if (hi_acc - lo_acc) / 2 <= target_radius / 2:
+                # round outward to a dyadic grid so endpoints stay small
+                m = 2
+                while F(1, 1 << m) > target_radius / 8:
+                    m += 1
+                grid = 1 << m
+                lo_r = F((lo_acc * grid).__floor__(), grid)
+                hi_r = F(-((-hi_acc * grid).__floor__()), grid)
+                return Interval(lo_r, hi_r)
+            bits *= 2
+            width = width * width
+        raise ArithmeticError("rho0 failed to reach the requested radius")
+
+    def arcs(self, bits: int = 64):
+        """[(phi_lo, phi_hi, sigma)] with phi = theta/pi enclosures per arc.
+
+        Endpoints are rounded outward to the grid 2^-bits: the raw arccos
+        enclosures carry numerators of thousands of digits.
+        """
+        if self.v.size == 0:
+            return [(F(0), F(1), 0)]
+        roots = _isolated_x_roots(self.x_roots(), F(1, 1 << 34))
+        sigmas, desc = self.arc_signatures(roots)
+        bounds = [(F(0), F(0))]
+        for r in desc:
+            bounds.append(certified.acos_over_pi(r.x_lo / 2, r.x_hi / 2, bits))
+        bounds.append((F(1), F(1)))
+        grid = 1 << bits
+        return [(F((bounds[j][0] * grid).__floor__(), grid),
+                 F((bounds[j + 1][1] * grid).__ceil__(), grid), sigmas[j])
+                for j in range(len(sigmas))]
+
+    def jumps(self) -> tuple:
+        """Certified isolating intervals (JumpPoints, x ascending) for all
+        jump locations, width < 2^-32."""
+        return tuple(_isolated_x_roots(self.x_roots(), F(1, 1 << 32)))
+
+
+def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> Interval:
+    """Certified enclosure of the circle average of the signature function
+    (`SignatureFunction.rho0`)."""
+    return SignatureFunction(v).rho0(target_radius)
+
+
+def jump_set(v: SeifertMatrix) -> tuple:
+    """Certified isolating intervals (JumpPoints, x ascending) for all
+    jump locations, width < 2^-32 (`SignatureFunction.jumps`)."""
+    return SignatureFunction(v).jumps()
 
 
 # ---------------------------------------------------------------------------
@@ -574,23 +642,9 @@ def rho0(v: SeifertMatrix, target_radius=F(1, 10 ** 9)) -> Interval:
 # ---------------------------------------------------------------------------
 
 def signature_arcs(v: SeifertMatrix, bits: int = 64):
-    """[(phi_lo, phi_hi, sigma)] with phi = theta/pi enclosures per arc.
-
-    Endpoints are rounded outward to the grid 2^-bits: the raw arccos
-    enclosures carry numerators of thousands of digits.
-    """
-    if v.size == 0:
-        return [(F(0), F(1), 0)]
-    roots = _isolated_x_roots(v, F(1, 1 << 34))
-    sigmas, desc = _arc_signatures(v, roots)
-    bounds = [(F(0), F(0))]
-    for r in desc:
-        bounds.append(certified.acos_over_pi(r.x_lo / 2, r.x_hi / 2, bits))
-    bounds.append((F(1), F(1)))
-    grid = 1 << bits
-    return [(F((bounds[j][0] * grid).__floor__(), grid),
-             F((bounds[j + 1][1] * grid).__ceil__(), grid), sigmas[j])
-            for j in range(len(sigmas))]
+    """[(phi_lo, phi_hi, sigma)] with phi = theta/pi enclosures per arc,
+    on the grid 2^-bits (`SignatureFunction.arcs`)."""
+    return SignatureFunction(v).arcs(bits)
 
 
 def _decimal(x: Fraction, places: int = 12) -> str:
@@ -604,11 +658,12 @@ def _decimal(x: Fraction, places: int = 12) -> str:
 def signature_function_csv(v: SeifertMatrix) -> str:
     """CSV: constancy arcs in theta plus the jump-point table in x."""
     pi_lo, pi_hi = certified.pi_bounds(64)
+    signature = SignatureFunction(v)
     lines = ["theta_lo,theta_hi,sigma"]
-    for phi_lo, phi_hi, sig in signature_arcs(v):
+    for phi_lo, phi_hi, sig in signature.arcs():
         lines.append(f"{_decimal(phi_lo * pi_lo)},{_decimal(phi_hi * pi_hi)},{sig}")
     lines.append("x_lo,x_hi,multiplicity")
-    for p in jump_set(v):
+    for p in signature.jumps():
         lines.append(f"{p.x_lo},{p.x_hi},{p.multiplicity}")
     return "\n".join(lines) + "\n"
 

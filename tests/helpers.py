@@ -7,7 +7,8 @@ from concord import polys
 from concord.alexander import (AlexanderModule, NotCyclic, Submodule, _pivot,
                                _reduce, _rref, _unit_vectors,
                                submodules_cyclic)
-from concord.laurent import LaurentPoly, factor, normalize
+from concord.laurent import (LaurentPoly, ZeroPolynomial, conjugate, factor,
+                             normalize)
 from concord.seifert import SeifertMatrix, alexander_poly, presentation_matrix
 
 F = Fraction
@@ -352,6 +353,25 @@ def resultant(p, q):
                 for c2 in range(col, size):
                     rows[r][c2] -= f * rows[col][c2]
     return det
+
+
+def fox_milnor(p: LaurentPoly) -> bool:
+    """True iff p = f(t) f(1/t) up to units for some f (Fox and Milnor,
+    1966): the Alexander polynomial of an algebraically slice knot has this
+    form.  Decided on the factorization: conjugate pairs must occur with
+    equal multiplicity and self-conjugate factors with even multiplicity.
+    """
+    if p.is_zero:
+        raise ZeroPolynomial("Fox-Milnor test needs a nonzero polynomial")
+    mult = {f: m for f, m in factor(p).factors}
+    for f, m in mult.items():
+        fbar = conjugate(f)
+        if fbar == f:
+            if m % 2:
+                return False
+        elif mult.get(fbar, 0) != m:
+            return False
+    return True
 
 
 class RatFunc:

@@ -2,10 +2,17 @@
 against the all-unit-vector construction they replaced, kept in helpers.py
 as `submodules_all_units`: equal bases, order ideals and list order on
 every module of test_isotropy.MATRICES and test_krylov.MODULES (singular-V
-modules and the dimension-0 twist(0) among them), on the rebased
+modules and the dimension-0 twist(0) among them), on the stabilized draws
+of test_fitting and the singular seed-20 genus-3 draw, on the rebased
 twist(2) # twist(6) whose generator lies on the moment curve, and on
 metabolic draws of genus 2-5; the number of applications of T; and the
-genus-5 metabolic spec through the CLI."""
+genus-5 metabolic spec through the CLI.
+
+The isotropic submodules and Lagrangians, which test each divisor of Delta
+before building its basis, against every submodule filtered by
+`is_isotropic` on the same modules; the bases built (8 of the 64 divisors
+of twist(2) # twist(6) # twist(12) for its Lagrangians); and the single
+right-hand column of each Blanchfield solve."""
 
 import json
 import os
@@ -16,9 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from concord.alexander import NotCyclic, _unit_vectors, present, submodules_cyclic
+from concord import alexander, pipeline, polys, specs
+from concord.alexander import (NotCyclic, UnsupportedModule, _unit_vectors,
+                               is_isotropic, isotropic_submodules, lagrangians,
+                               present, submodules_cyclic)
 from concord.seifert import SeifertMatrix
 
+import test_fitting
 import test_isotropy
 import test_krylov
 from helpers import random_metabolic, submodules_all_units
@@ -30,10 +41,14 @@ SEED1_GENUS5 = ROOT / "tests" / "data" / "metabolic5_seed1.spec.json"
 def _modules():
     out = [(f"isotropy {label}", mod) for label, mod in test_isotropy.MODULES]
     out += [(f"krylov {label}", mod) for label, mod in test_krylov.MODULES]
+    out += [(f"fitting {label}", present(v))
+            for label, v, _ in test_fitting._stabilized_draws()]
     for g in (2, 3, 4, 5):
         for s in (1, 2, 3):
             out.append((f"metabolic{g}/{s}",
                         present(random_metabolic(random.Random(s), g)[0])))
+    out.append(("metabolic3/20",
+                present(random_metabolic(random.Random(20), 3)[0])))
     return out
 
 
@@ -44,7 +59,10 @@ def test_module_mix():
     labels = [label for label, _ in MODULES]
     assert "isotropy diagonal twist(2)#twist(6)" in labels
     assert "krylov unknot" in labels
+    assert any(l.startswith("isotropy free/") for l in labels)
+    assert sum(l.startswith("fitting stabilized") for l in labels) == 13
     mods = [m for _, m in MODULES]
+    assert dict(MODULES)["metabolic3/20"].dim == 4
     assert any(m.dim == 0 for m in mods)
     assert sum(m.is_cyclic and 0 < m.dim < m.V.size for m in mods) >= 5
     assert sum(not m.is_cyclic for m in mods) >= 2
@@ -62,6 +80,66 @@ def test_chain_submodules_match_all_units_oracle(label, mod):
     want = submodules_all_units(mod)
     assert [(s.basis, s.order_ideal) for s in got] == \
         [(s.basis, s.order_ideal) for s in want]
+
+
+@pytest.mark.parametrize("label,mod", MODULES, ids=[l for l, _ in MODULES])
+def test_isotropic_images_match_filtered_submodules(label, mod):
+    if not mod.is_cyclic:
+        for fn in (isotropic_submodules, lagrangians):
+            with pytest.raises(UnsupportedModule):
+                fn(mod)
+        return
+    want = [s for s in submodules_cyclic(mod) if is_isotropic(mod, s)]
+    assert isotropic_submodules(mod) == want
+    assert lagrangians(mod) == [s for s in want if 2 * s.dim == mod.dim]
+
+
+def _sum_2_6_12():
+    doc = (ROOT / "tests" / "data" / "reports" / "sum_2_6_12.spec.json")
+    return present(specs.seifert_matrix(pipeline.ingest(doc.read_text())))
+
+
+def test_bases_built_for_lagrangian_divisors_only(monkeypatch):
+    """Six distinct linear factors of Delta: 64 divisors, 8 Lagrangians;
+    one RREF per basis built."""
+    mod = _sum_2_6_12()
+    rref = alexander._rref
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return rref(*args)
+
+    monkeypatch.setattr(alexander, "_rref", counted)
+    assert len(submodules_cyclic(mod)) == 64 and len(calls) == 64
+    calls.clear()
+    assert len(lagrangians(mod)) == 8 and len(calls) == 8
+    calls.clear()
+    # per conjugate pair of factors: neither, the one or the other
+    assert len(isotropic_submodules(mod)) == len(calls) == 27
+
+
+@pytest.mark.parametrize("label", ["metabolic3/1", "metabolic3/20",
+                                   "fitting stabilized metabolic2/201",
+                                   "isotropy free/7"])
+def test_blanchfield_solves_one_column_per_distinct_y(monkeypatch, label):
+    mod = present(dict(MODULES)[label].V)
+    g = mod.generator()
+    bareiss = polys.bareiss
+    widths = []
+
+    def counted(mat, rhs=None):
+        widths.append(len(rhs[0]) if rhs else 0)
+        return bareiss(mat, rhs)
+
+    monkeypatch.setattr(polys, "bareiss", counted)
+    r = mod.blanchfield(g, g)
+    assert widths == [1]
+    e = _unit_vectors(mod.dim)
+    assert mod.blanchfield(g, g) == r and [mod.blanchfield(x, g) for x in e]
+    assert widths == [1]
+    mod.blanchfield(g, tuple(2 * c for c in g))
+    assert widths == [1, 1]
 
 
 @pytest.mark.parametrize("label", ["metabolic3/1", "metabolic5/2",

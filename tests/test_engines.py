@@ -136,7 +136,8 @@ def test_integer_atan_series_matches_fraction_oracle(monkeypatch):
 def test_rho0_precision_loop_does_invariant_work_once(monkeypatch):
     v = twist_knot(-3)
     arcs = len(seifert.signature_arcs(v))
-    calls = {"alexander_poly": 0, "lt_signature": 0}
+    calls = {"alexander_poly": 0, "_x_roots": 0, "_arc_signatures": 0,
+             "lt_signature": 0}
     for name in calls:
         fn = getattr(seifert, name)
 
@@ -147,4 +148,5 @@ def test_rho0_precision_loop_does_invariant_work_once(monkeypatch):
         monkeypatch.setattr(seifert, name, wrapper)
     r = seifert.rho0(v, F(1, 10 ** 30))
     assert r.rad <= F(1, 10 ** 30)
-    assert calls == {"alexander_poly": 1, "lt_signature": arcs}
+    assert calls == {"alexander_poly": 1, "_x_roots": 1, "_arc_signatures": 1,
+                     "lt_signature": arcs}

@@ -9,7 +9,7 @@ from concord.laurent import LaurentPoly, normalize
 from concord.seifert import (UnitCirclePoint, alexander_poly, lt_signature,
                              rho0)
 
-from helpers import qi_charpoly, random_metabolic, random_seifert
+from helpers import fox_milnor, qi_charpoly, random_metabolic, random_seifert
 
 F = Fraction
 
@@ -80,8 +80,6 @@ def test_rho0_torus_closed_form():
 
 def test_fox_milnor_consistent_with_metabolizers():
     """Algebraic sliceness forces the Fox-Milnor factorization."""
-    from concord.laurent import fox_milnor
-
     rng = random.Random(204)
     for _ in range(100):
         v, _ = random_metabolic(rng, rng.choice((1, 2)))

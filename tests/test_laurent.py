@@ -5,10 +5,9 @@ import pytest
 
 from concord import polys
 from concord.laurent import (LaurentPoly, UnsupportedDegree, ZeroPolynomial,
-                             conjugate, factor, fox_milnor, gcd, normalize,
-                             parse, render)
+                             conjugate, factor, gcd, normalize, parse, render)
 
-from helpers import resultant
+from helpers import fox_milnor, resultant
 
 F = Fraction
 

@@ -17,7 +17,12 @@ DATA = Path(__file__).parent / "data" / "reports"
 GOLDEN = sorted(p.name[:-len(".spec.json")] for p in DATA.glob("*.spec.json"))
 
 STAGES = (("alexander", "present"), ("metabolizers", "derivative"),
-          ("alexander", "submodules_cyclic"), ("seifert", "rho0"))
+          ("alexander", "isotropic_submodules"),
+          ("seifert", "SignatureFunction.rho0"))
+# Delta, its root isolation and the arc signatures, which the module, rho0
+# and the report's signature block share
+SIGNATURE = (("seifert", "alexander_poly"), ("seifert", "_x_roots"),
+             ("seifert", "_arc_signatures"))
 
 
 def _load(name):
@@ -35,23 +40,30 @@ def test_golden_report(name):
     assert pipeline.report_json(spec, asm) + "\n" == want
 
 
-def _count_stages(monkeypatch):
-    """Wrap each stage function wherever a concord module binds it; the
-    returned dict maps stage name -> list of argument keys, one per call
-    (a module stands for the Seifert matrix it presents)."""
+def _count_stages(monkeypatch, stages=STAGES):
+    """Wrap each stage function wherever a concord module or class binds
+    it; the returned dict maps stage name -> list of argument keys, one per
+    call (a module stands for the Seifert matrix it presents, a signature
+    function for its matrix)."""
     seen = {}
-    modules = [m for n, m in list(sys.modules.items())
-               if m is not None and n.startswith("concord")]
-    for home, name in STAGES:
-        fn = getattr(sys.modules[f"concord.{home}"], name)
+    homes = [m for n, m in list(sys.modules.items())
+             if m is not None and n.startswith("concord")]
+    homes += [sys.modules["concord.seifert"].SignatureFunction]
+    for home, name in stages:
+        owner = sys.modules[f"concord.{home}"]
+        *path, name = name.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        fn = getattr(owner, name)
         keys = seen.setdefault(name, [])
 
         def wrapper(*args, _fn=fn, _keys=keys, **kwargs):
-            _keys.append(repr((tuple(getattr(a, "V", a) for a in args),
+            _keys.append(repr((tuple(getattr(a, "V", getattr(a, "v", a))
+                                     for a in args),
                                sorted(kwargs.items()))))
             return _fn(*args, **kwargs)
 
-        for m in modules:
+        for m in homes:
             for attr, val in list(vars(m).items()):
                 if val is fn:
                     monkeypatch.setattr(m, attr, wrapper)
@@ -65,6 +77,20 @@ def test_example74_report_runs_each_stage_once(monkeypatch):
     for name, keys in seen.items():
         assert keys, name
         assert len(keys) == len(set(keys)), (name, len(keys), len(set(keys)))
+
+
+@pytest.mark.parametrize("name,calls", [("example74", (4, 2, 2)),
+                                        ("twist_2", (2, 1, 1))])
+def test_one_signature_pass_per_matrix(monkeypatch, name, calls):
+    """alexander_poly, _x_roots and _arc_signatures once per distinct
+    matrix (Example 7.4 meets four matrices, two with a signature block or
+    a rho0; it took 9, 4 and 3 calls when each stage recomputed them)."""
+    spec, asm = _load(name)
+    seen = _count_stages(monkeypatch, SIGNATURE)
+    pipeline.report(spec, asm)
+    assert tuple(len(seen[stage]) for _, stage in SIGNATURE) == calls
+    for stage, keys in seen.items():
+        assert len(keys) == len(set(keys)), stage
 
 
 def test_no_state_between_requests(monkeypatch):
