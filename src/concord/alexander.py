@@ -32,12 +32,15 @@ right-hand column, once per distinct y; then x^T z times the unit
 (t - 1) t^-k / c mod Delta.
 
 Submodules are T-invariant subspaces stored as canonical RREF bases with
-their order ideals.  One Krylov elimination (`_krylov`) gives both the
-span w, Tw, T^2 w, ... of a vector and its annihilator; a submodule
-generated by several vectors is the span of their chains, of order the
-lcm of their annihilators.  A cyclic module A = Q[t]/(Delta) has exactly
-one submodule per monic divisor f of Delta, the image f(T) A, of order
-Delta/f.
+their order ideals.  One reduction step, `_reduce`, is the rational
+elimination: `_rref` is Gauss-Jordan on it one vector at a time, and the
+Krylov elimination (`_krylov`) reduces each T^k w, augmented by e_k, with
+it, so that the first vector to vanish on the module coordinates carries
+the annihilator of w on its augmented part, beside the span w, Tw, ...
+A submodule generated by several vectors is the span of their chains, of
+order the lcm of their annihilators.  A cyclic module A = Q[t]/(Delta)
+has exactly one submodule per monic divisor f of Delta, the image
+f(T) A, of order Delta/f.
 
 Isotropy needs one Blanchfield value per module.  For a generator g of a
 cyclic A, sesquilinearity gives Bl(a f g, b f g) = a b-bar f f-bar Bl(g, g)
@@ -347,28 +350,29 @@ def _class(split, x):
 # ---------------------------------------------------------------------------
 
 def _rref(vectors, pivot_cols):
-    """Gauss-Jordan over Q, pivoting in the first pivot_cols columns only.
+    """Gauss-Jordan over Q, pivoting in the first pivot_cols columns only,
+    one vector at a time: each is reduced by the rows so far (`_reduce`),
+    and a new pivot is cleared from the earlier rows.
 
     Returns the pivot rows in pivot order, then any rows that are zero on
     the pivot columns but not beyond them (an augmented system's
     inconsistencies); zero rows are dropped.
     """
-    rows = [list(map(F, v)) for v in vectors if any(v)]
-    r = 0
-    for c in range(pivot_cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    rows, rest = [], []
+    for v in vectors:
+        r = _reduce(rows, v)
+        piv = _pivot(r, pivot_cols)
         if piv is None:
+            if any(r):
+                rest.append(r)
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
+        inv = 1 / r[piv]
         if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f_ = rows[i][c]
-                rows[i] = [x - f_ * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return tuple(tuple(row) for row in rows if any(row))
+            r = [x * inv for x in r]
+        rows = [_reduce((r,), row) if row[piv] else row for row in rows]
+        rows.append(r)
+    rows.sort(key=lambda row: _pivot(row, pivot_cols))
+    return tuple(tuple(row) for row in rows + rest)
 
 
 def _unit_vectors(n):
@@ -425,27 +429,23 @@ def _krylov(mod, w):
     """(chain, p): the chain w, Tw, ..., T^(d-1) w and the monic minimal p
     of degree d with p(T) w = 0.
 
-    One elimination: each T^k w is reduced against the echelon rows of the
-    earlier vectors while its combination of them is tracked, and the first
-    that reduces to zero gives p.
+    One elimination: each T^k w, augmented by the unit vector e_k of
+    Q^(dim+1), is reduced (`_reduce`) by the earlier ones; the first that
+    vanishes on the module coordinates is p(T) w = 0 with the coefficients
+    of p on its augmented part.
     """
+    n = mod.dim
     chain = []
-    rows = []  # (pivot, row with pivot entry 1, its combination of the chain)
+    rows = []  # echelon rows with pivot entry 1, in chain order
     v = tuple(map(F, w))
     while True:
-        r = list(v)
-        comb = [F(0)] * len(chain) + [F(1)]
-        for piv, row, rc in rows:
-            c = r[piv]
-            if c != 0:
-                r = [x - c * y for x, y in zip(r, row)]
-                for i, y in enumerate(rc):
-                    comb[i] -= c * y
-        piv = _pivot(r, len(r))
+        k = len(chain)
+        r = _reduce(rows, v + tuple(int(i == k) for i in range(n + 1)))
+        piv = _pivot(r, n)
         if piv is None:
-            return chain, comb
+            return chain, r[n:n + k + 1]
         inv = 1 / r[piv]
-        rows.append((piv, [x * inv for x in r], [x * inv for x in comb]))
+        rows.append([x * inv for x in r])
         chain.append(v)
         v = mod.t_action(v)
 

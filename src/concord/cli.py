@@ -24,8 +24,8 @@ EXIT_UNSUPPORTED = 3
 _UNSUPPORTED = (alexander.NotCyclic, alexander.UnsupportedModule,
                 calculus.UnsupportedLink, calculus.MissingBaseFact,
                 mb.NotRepresentable, mb.WrongGenus, mb.NotMetabolic,
-                mb.RankMismatch, sf.NotAKnot, laurent.UnsupportedDegree,
-                specs.UnsupportedNesting)
+                mb.RankMismatch, sf.NotAKnot, sf.UnsupportedPrecision,
+                laurent.UnsupportedDegree, specs.UnsupportedNesting)
 
 
 def _read(path):
@@ -54,14 +54,16 @@ def _matrix(spec):
 
 
 def _radius(text):
+    """The --precision radius; below 2^-MAX_PRECISION_BITS it is an
+    unsupported shape (exit 3), refused before any work."""
     try:
         radius = F(text)
-        if radius > 0:
-            return radius
     except (ValueError, ZeroDivisionError):
-        pass
-    raise specs.SchemaError(
-        f"--precision must be a positive rational, got {text!r}")
+        radius = 0
+    if radius <= 0:
+        raise specs.SchemaError(
+            f"--precision must be a positive rational, got {text!r}")
+    return sf.check_radius(radius)
 
 
 def _emit(args, payload_dict, text):

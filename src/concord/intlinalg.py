@@ -1,5 +1,6 @@
-"""Exact integer matrix utilities: Smith and Hermite normal forms,
-direct-summand tests and symplectic basis extraction.
+"""Exact integer matrix utilities: the row Hermite normal form, which is
+the one integer elimination; the Smith form from alternating Hermite
+forms of M and M^T; direct-summand tests and symplectic basis extraction.
 
 Everything works on plain Python ints (arbitrary precision); matrices
 are lists of lists and are never mutated in place by public functions.
@@ -10,74 +11,25 @@ from __future__ import annotations
 from math import gcd
 
 
-def _copy(m):
-    return [list(r) for r in m]
-
-
 def smith_normal_form(mat):
     """Invariant factors d_1 | d_2 | ... of an integer matrix (d_i > 0).
 
     Zero rows/columns contribute nothing; the list length is the rank.
+    Row HNFs of M and of its transpose alternate (Kannan & Bachem, SIAM
+    J. Comput. 1979) until the matrix is diagonal up to the order of its
+    rows and columns; pairwise gcd/lcm then orders the diagonal by
+    divisibility.
     """
-    m = _copy(mat)
-    if not m or not m[0]:
-        return []
-    rows, cols = len(m), len(m[0])
-    out = []
-    r = c = 0
-    while r < rows and c < cols:
-        # find pivot of smallest absolute value
-        piv = None
-        best = None
-        for i in range(r, rows):
-            for j in range(c, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, piv = v, (i, j)
-        if piv is None:
-            break
-        i, j = piv
-        m[r], m[i] = m[i], m[r]
-        for row in m:
-            row[c], row[j] = row[j], row[c]
-        again = True
-        while again:
-            again = False
-            for i in range(r + 1, rows):
-                if m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    for k in range(c, cols):
-                        m[i][k] -= q * m[r][k]
-                    if m[i][c]:
-                        m[r], m[i] = m[i], m[r]
-                        again = True
-            for j in range(c + 1, cols):
-                if m[r][j]:
-                    q = m[r][j] // m[r][c]
-                    for i in range(r, rows):
-                        m[i][j] -= q * m[i][c]
-                    if m[r][j]:
-                        for row in m:
-                            row[c], row[j] = row[j], row[c]
-                        again = True
-        # divisibility of the remaining block
-        d = abs(m[r][c])
-        fixed = False
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                if m[i][j] % d:
-                    for k in range(c, cols):
-                        m[r][k] += m[i][k]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        out.append(d)
-        r += 1
-        c += 1
-    return out
+    m = hermite_normal_form(mat)
+    # HNF rows have distinct pivots: one nonzero per row is diagonal
+    while any(sum(1 for x in row if x) > 1 for row in m):
+        m = hermite_normal_form(zip(*m))
+    d = [abs(x) for row in m for x in row if x]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def spans_summand(vectors, ambient_dim):
@@ -208,19 +160,13 @@ def symplectic_basis(j):
             if any(u2):
                 new_basis.append(u2)
         # v is already popped: the complement has rank len(basis) - 1
-        basis = _reduce_to_rank(new_basis, len(basis) - 1)
+        rank = len(basis) - 1
+        basis = [list(r) for r in hermite_normal_form(new_basis)]
+        if len(basis) != rank:
+            raise ValueError("unexpected rank during symplectic reduction")
     cols = []
     for v, w in pairs:
         cols.append(v)
         cols.append(w)
     return cols
 
-
-def _reduce_to_rank(vectors, target_rank):
-    """Pick an integer basis of the lattice spanned by vectors (HNF rows)."""
-    if target_rank <= 0:
-        return []
-    h = hermite_normal_form(vectors)
-    if len(h) != target_rank:
-        raise ValueError("unexpected rank during symplectic reduction")
-    return [list(r) for r in h]

@@ -28,6 +28,30 @@ class NotAKnot(ValueError):
     """Torus parameters do not describe a knot."""
 
 
+# The finest rho0 radius is 2^-MAX_PRECISION_BITS.  Each doubling of the
+# working precision costs more than the last with exact rational
+# arctangents, so finer radii have no time bound: at 2^-128 the slowest
+# golden report (twist(2) # twist(6) # twist(12)) takes 6.4-10.1 s as one
+# process (six runs), at 2^-160 80 s (2-core host, Python 3.11).
+MAX_PRECISION_BITS = 128
+
+
+class UnsupportedPrecision(ValueError):
+    """A rho0 radius below 2^-MAX_PRECISION_BITS."""
+
+
+def check_radius(radius) -> Fraction:
+    """radius as a Fraction: ValueError unless positive, and
+    UnsupportedPrecision below 2^-MAX_PRECISION_BITS."""
+    radius = F(radius)
+    if radius <= 0:
+        raise ValueError("target_radius must be positive")
+    if radius < F(1, 1 << MAX_PRECISION_BITS):
+        raise UnsupportedPrecision("rho0 radius below the precision bound "
+                                   f"2^-{MAX_PRECISION_BITS}")
+    return radius
+
+
 # ---------------------------------------------------------------------------
 # Seifert matrices
 # ---------------------------------------------------------------------------
@@ -556,9 +580,7 @@ class SignatureFunction:
         refines the roots further and recomputes only the arccos
         enclosures.
         """
-        target_radius = F(target_radius)
-        if target_radius <= 0:
-            raise ValueError("target_radius must be positive")
+        target_radius = check_radius(target_radius)
         if self.v.size == 0:
             return Interval.point(0)
         sqf, _, roots = self.x_roots()
@@ -681,6 +703,8 @@ def matrix_from_text(text: str) -> SeifertMatrix:
     if not tokens:
         raise ValueError("empty matrix text")
     g = int(tokens[0])
+    if g < 0:
+        raise ValueError(f"genus must be non-negative, got {g}")
     n = 2 * g
     vals = [int(t) for t in tokens[1:]]
     if len(vals) != n * n:

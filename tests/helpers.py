@@ -4,9 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 from concord import polys
-from concord.alexander import (AlexanderModule, NotCyclic, Submodule, _pivot,
-                               _reduce, _rref, _unit_vectors,
-                               submodules_cyclic)
+from concord.alexander import (AlexanderModule, NotCyclic, Submodule,
+                               _unit_vectors, submodules_cyclic)
 from concord.laurent import (LaurentPoly, ZeroPolynomial, conjugate, factor,
                              normalize)
 from concord.seifert import SeifertMatrix, alexander_poly, presentation_matrix
@@ -706,6 +705,144 @@ class SmithModule(AlexanderModule):
 
 
 # ---------------------------------------------------------------------------
+# The eliminations that hermite_normal_form and alexander._reduce replaced,
+# kept as the differential oracles of those kernels and used by the
+# oracles below, so that no oracle shares the kernel under test
+# ---------------------------------------------------------------------------
+
+def smith_normal_form_pivoting(mat):
+    """intlinalg.smith_normal_form as it was when it ran its own
+    pivot-and-swap loop: invariant factors d_1 | d_2 | ... (d_i > 0).
+    Its entries can blow up (tests/test_intlinalg.py has a 4 x 5 case)."""
+    m = [list(r) for r in mat]
+    if not m or not m[0]:
+        return []
+    rows, cols = len(m), len(m[0])
+    out = []
+    r = c = 0
+    while r < rows and c < cols:
+        # find pivot of smallest absolute value
+        piv = None
+        best = None
+        for i in range(r, rows):
+            for j in range(c, cols):
+                v = abs(m[i][j])
+                if v and (best is None or v < best):
+                    best, piv = v, (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        m[r], m[i] = m[i], m[r]
+        for row in m:
+            row[c], row[j] = row[j], row[c]
+        again = True
+        while again:
+            again = False
+            for i in range(r + 1, rows):
+                if m[i][c]:
+                    q = m[i][c] // m[r][c]
+                    for k in range(c, cols):
+                        m[i][k] -= q * m[r][k]
+                    if m[i][c]:
+                        m[r], m[i] = m[i], m[r]
+                        again = True
+            for j in range(c + 1, cols):
+                if m[r][j]:
+                    q = m[r][j] // m[r][c]
+                    for i in range(r, rows):
+                        m[i][j] -= q * m[i][c]
+                    if m[r][j]:
+                        for row in m:
+                            row[c], row[j] = row[j], row[c]
+                        again = True
+        # divisibility of the remaining block
+        d = abs(m[r][c])
+        fixed = False
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                if m[i][j] % d:
+                    for k in range(c, cols):
+                        m[r][k] += m[i][k]
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        out.append(d)
+        r += 1
+        c += 1
+    return out
+
+
+def _pivot(row, pivot_cols):
+    """Column of the row's leading entry among the pivot columns, or None."""
+    return next((i for i in range(pivot_cols) if row[i] != 0), None)
+
+
+def _reduce(rref_basis, vec):
+    """Residual of vec after clearing each basis row's pivot entry."""
+    v = list(map(F, vec))
+    for row in rref_basis:
+        c = v[_pivot(row, len(v))]
+        if c != 0:
+            v = [x - c * y for x, y in zip(v, row)]
+    return v
+
+
+def rref_columnwise(vectors, pivot_cols):
+    """alexander._rref as it was when it ran Gauss-Jordan column by column
+    over all rows at once, pivoting in the first pivot_cols columns only.
+
+    Returns the pivot rows in pivot order, then any rows that are zero on
+    the pivot columns but not beyond them (an augmented system's
+    inconsistencies); zero rows are dropped.
+    """
+    rows = [list(map(F, v)) for v in vectors if any(v)]
+    r = 0
+    for c in range(pivot_cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f_ = rows[i][c]
+                rows[i] = [x - f_ * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows if any(row))
+
+
+def krylov_tracked(mod, w):
+    """alexander._krylov as it was when it tracked each vector's
+    combination of the chain beside its own elimination: (chain, p), the
+    chain w, Tw, ..., T^(d-1) w and the monic minimal p of degree d with
+    p(T) w = 0."""
+    chain = []
+    rows = []  # (pivot, row with pivot entry 1, its combination of the chain)
+    v = tuple(map(F, w))
+    while True:
+        r = list(v)
+        comb = [F(0)] * len(chain) + [F(1)]
+        for piv, row, rc in rows:
+            c = r[piv]
+            if c != 0:
+                r = [x - c * y for x, y in zip(r, row)]
+                for i, y in enumerate(rc):
+                    comb[i] -= c * y
+        piv = _pivot(r, len(r))
+        if piv is None:
+            return chain, comb
+        inv = 1 / r[piv]
+        rows.append((piv, [x * inv for x in r], [x * inv for x in comb]))
+        chain.append(v)
+        v = mod.t_action(v)
+
+
+# ---------------------------------------------------------------------------
 # The generator-based submodule engine that the Krylov elimination replaced:
 # one RREF per Krylov step plus a solve for each annihilator, a closure
 # loop for generated submodules, and a searched cyclic generator
@@ -718,7 +855,7 @@ def _in_span(rref_basis, vec):
 def _solve_exact(aug, unknowns):
     """Solve an overdetermined consistent system from augmented rows."""
     sol = [F(0)] * unknowns
-    for row in _rref(aug, unknowns):
+    for row in rref_columnwise(aug, unknowns):
         c = _pivot(row, unknowns)
         if c is None:
             raise ArithmeticError("inconsistent linear system")
@@ -733,7 +870,7 @@ def vector_annihilator(mod, w):
     krylov = [tuple(w)]
     while True:
         nxt = mod.t_action(krylov[-1])
-        if _in_span(_rref(krylov, mod.dim), nxt):
+        if _in_span(rref_columnwise(krylov, mod.dim), nxt):
             # solve nxt = sum c_i T^i w for the annihilator coefficients
             k = len(krylov)
             aug = [list(col) + [nxt[i]] for i, col in enumerate(zip(*krylov))]
@@ -750,7 +887,7 @@ def _lcm(a, b):
 def closure_submodule(mod, gens):
     """T-invariant closure of the span of the given coordinate vectors."""
     vecs = [tuple(map(F, g)) for g in gens if any(F(c) != 0 for c in g)]
-    basis = _rref(vecs, mod.dim)
+    basis = rref_columnwise(vecs, mod.dim)
     while True:
         new = list(basis)
         grew = False
@@ -761,7 +898,7 @@ def closure_submodule(mod, gens):
                 grew = True
         if not grew:
             break
-        basis = _rref(new, mod.dim)
+        basis = rref_columnwise(new, mod.dim)
     ann = [F(1)]
     for b in basis:
         ann = _lcm(ann, vector_annihilator(mod, b))
@@ -861,7 +998,8 @@ def submodules_all_units(mod):
         divisors = [polys.mul(d, q) for d in divisors for q in powers]
     out = []
     for f in divisors:
-        basis = _rref([mod.poly_action(f, e) for e in std], mod.dim)
+        basis = rref_columnwise([mod.poly_action(f, e) for e in std],
+                                mod.dim)
         order = polys.exact_div(delta, f)
         if len(basis) != polys.deg(order):
             raise ArithmeticError(
@@ -937,7 +1075,7 @@ def bounded_search_box(v, bound):
 
     def extend(frame, start):
         if len(frame) == g:
-            if intlinalg.spans_summand(frame, n):
+            if smith_normal_form_pivoting(frame) == [1] * g:
                 key = intlinalg.hermite_normal_form(frame)
                 if key not in found:
                     found[key] = Metabolizer(

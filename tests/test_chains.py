@@ -12,28 +12,37 @@ The isotropic submodules and Lagrangians, which test each divisor of Delta
 before building its basis, against every submodule filtered by
 `is_isotropic` on the same modules; the bases built (8 of the 64 divisors
 of twist(2) # twist(6) # twist(12) for its Lagrangians); and the single
-right-hand column of each Blanchfield solve."""
+right-hand column of each Blanchfield solve.
+
+The incremental `_rref` and the augmented `_krylov`, both on
+`alexander._reduce`, against the column-by-column Gauss-Jordan and the
+tracked Krylov elimination they replaced (`rref_columnwise`,
+`krylov_tracked` in helpers.py), on every module of MODULES."""
 
 import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from concord import alexander, pipeline, polys, specs
-from concord.alexander import (NotCyclic, UnsupportedModule, _unit_vectors,
-                               is_isotropic, isotropic_submodules, lagrangians,
-                               present, submodules_cyclic)
+from concord.alexander import (NotCyclic, UnsupportedModule, _krylov, _rref,
+                               _unit_vectors, is_isotropic,
+                               isotropic_submodules, lagrangians, present,
+                               submodules_cyclic)
 from concord.seifert import SeifertMatrix
 
 import test_fitting
 import test_isotropy
 import test_krylov
-from helpers import random_metabolic, submodules_all_units
+from helpers import (krylov_tracked, random_metabolic, rref_columnwise,
+                     submodules_all_units)
 
+F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
 SEED1_GENUS5 = ROOT / "tests" / "data" / "metabolic5_seed1.spec.json"
 
@@ -92,6 +101,58 @@ def test_isotropic_images_match_filtered_submodules(label, mod):
     want = [s for s in submodules_cyclic(mod) if is_isotropic(mod, s)]
     assert isotropic_submodules(mod) == want
     assert lagrangians(mod) == [s for s in want if 2 * s.dim == mod.dim]
+
+
+def _assert_same_rref(vectors, pivot_cols):
+    """`_rref` against the column-by-column oracle.  Without rows that are
+    zero on the pivot columns the RREF is canonical and the two agree row
+    for row; with them (an inconsistent augmented system) the pivot rows'
+    entries beyond the pivot columns depend on the elimination order, so
+    the pivot columns and the row spaces are compared."""
+    got = _rref(vectors, pivot_cols)
+    want = rref_columnwise(vectors, pivot_cols)
+    if all(any(row[:pivot_cols]) for row in want):
+        assert got == want
+        return
+    heads = [[row[:pivot_cols] for row in out if any(row[:pivot_cols])]
+             for out in (got, want)]
+    assert heads[0] == heads[1]
+    width = len(vectors[0])
+    assert rref_columnwise(got, width) == rref_columnwise(want, width)
+
+
+def _rand_vec(rng, n):
+    if rng.random() < 0.15:
+        return tuple(F(0) for _ in range(n))
+    return tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+
+
+@pytest.mark.parametrize("label,mod", MODULES, ids=[l for l, _ in MODULES])
+def test_rref_and_krylov_match_replaced_eliminations(label, mod):
+    rng = random.Random(label)
+    n = mod.dim
+    starts = [_rand_vec(rng, n) for _ in range(3)] + _unit_vectors(n)[-1:]
+    if mod.is_cyclic:
+        starts.append(mod.generator())
+    for w in starts:
+        chain, p = _krylov(mod, w)
+        assert (chain, p) == krylov_tracked(mod, w)
+        # a chain with its dependent next vector, shuffled
+        vecs = chain + [mod.t_action(chain[-1]) if chain else w]
+        rng.shuffle(vecs)
+        _assert_same_rref(vecs, n)
+    if n == 0:
+        return
+    for size in (1, 2, n, n + 2):
+        vecs = [_rand_vec(rng, n) for _ in range(size)]
+        vecs += [tuple(2 * x for x in v) for v in vecs[:1]]
+        _assert_same_rref(vecs, n)
+        # augmented by unit rows, as `_eliminate` augments [M | I]
+        _assert_same_rref([list(v) + [int(i == j) for j in range(len(vecs))]
+                           for i, v in enumerate(vecs)], n)
+    # [T | I]: T is invertible, so L = T^-1
+    _assert_same_rref([list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(mod.T)], n)
 
 
 def _sum_2_6_12():

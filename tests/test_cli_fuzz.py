@@ -5,18 +5,19 @@ factorization bound, of Seifert matrices above it, of files that are not
 UTF-8 or nest too deeply for the JSON decoder, of knot trees above the
 nesting bound, of flags that are not JSON booleans, and of empty
 intervals, band meridians off the surface and declared nullities out of
-range."""
+range; and the rho0 precision bound, met and passed."""
 
 import contextlib
 import copy
 import io
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from concord import alexander, cli, laurent, specs
+from concord import alexander, cli, laurent, seifert, specs
 
 DATA = Path(__file__).parent / "data" / "reports"
 SPECS = sorted(DATA.glob("*.spec.json"))
@@ -291,3 +292,21 @@ def test_out_of_range_inputs_are_schema_errors(tmp_path, document, command,
         assert code == 2 and not out, (params, out)
         assert len(err.strip().splitlines()) == 1, err
     assert run(valid)[0] == 0
+
+
+def test_precision_bound_is_refused_before_any_work(monkeypatch):
+    bound = Fraction(1, 1 << seifert.MAX_PRECISION_BITS)
+    below = Fraction(1, (1 << seifert.MAX_PRECISION_BITS) + 1)
+    spec = str(DATA / "twist_m3.spec.json")
+    code, out, _ = _run(["--format", "json", "--precision", str(bound),
+                         "rho0", spec])
+    assert code == 0
+    assert Fraction(json.loads(out)["rad"]) <= bound
+    # refused before the document is read
+    monkeypatch.setattr(cli, "_read", None)
+    for radius in (str(below), "1e-300"):
+        code, out, err = _run(["--precision", radius, "report", spec])
+        assert code == 3 and not out
+        assert len(err.strip().splitlines()) == 1, err
+    with pytest.raises(seifert.UnsupportedPrecision):
+        seifert.rho0(seifert.twist_knot(-3), below)

@@ -150,6 +150,10 @@ def test_signature_csv_and_matrix_text():
     assert matrix_from_text(txt).entries == twist_knot(2).entries
     with pytest.raises(ValueError):
         matrix_from_text("1\n1 2 3")
+    assert matrix_from_text("0").size == 0
+    # a negative genus is not the unknot
+    with pytest.raises(ValueError, match="genus"):
+        matrix_from_text("-1 1 2 3 4")
 
 
 def test_signature_arcs_dyadic_and_nested():
