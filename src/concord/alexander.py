@@ -472,23 +472,6 @@ def zero_submodule(mod) -> Submodule:
     return Submodule(mod, (), LaurentPoly.one())
 
 
-def _divisors(mod):
-    """(Delta, divisors): Delta dense and its divisors up to units, the
-    products of its prime-power factors; NotCyclic off cyclic modules."""
-    if not mod.is_cyclic:
-        raise NotCyclic("submodule enumeration needs a cyclic module "
-                        "(minimal polynomial must equal Delta)")
-    delta, _ = mod.delta.to_dense()
-    divisors = [[F(1)]]
-    for f, m in laurent_factor(mod.delta).factors:
-        fd, _ = f.to_dense()
-        powers = [[F(1)]]
-        for _ in range(m):
-            powers.append(polys.mul(powers[-1], fd))
-        divisors = [polys.mul(d, q) for d in divisors for q in powers]
-    return delta, divisors
-
-
 def _image(mod, delta, f) -> Submodule:
     """f(T) A for a divisor f of Delta, from the generator g
     (`AlexanderModule.generator`): A = Q[t] g, so f(T) A = Q[t] f(T) g, a
@@ -506,6 +489,29 @@ def _image(mod, delta, f) -> Submodule:
     return Submodule(mod, basis, normalize(LaurentPoly.from_dense(order)))
 
 
+_NOT_CYCLIC = ("submodule enumeration needs a cyclic module "
+               "(minimal polynomial must equal Delta)")
+
+
+def _images(mod, keep):
+    """The images f(T) A (`_image`) for the divisors f of Delta up to
+    units (the products of its prime-power factors) with keep(delta, f),
+    sorted by `Submodule.sort_key`; each divisor is tested before its
+    basis is built.  NotCyclic off cyclic modules."""
+    if not mod.is_cyclic:
+        raise NotCyclic(_NOT_CYCLIC)
+    delta, _ = mod.delta.to_dense()
+    divisors = [[F(1)]]
+    for f, m in laurent_factor(mod.delta).factors:
+        fd, _ = f.to_dense()
+        powers = [[F(1)]]
+        for _ in range(m):
+            powers.append(polys.mul(powers[-1], fd))
+        divisors = [polys.mul(d, q) for d in divisors for q in powers]
+    return sorted((_image(mod, delta, f) for f in divisors if keep(delta, f)),
+                  key=Submodule.sort_key)
+
+
 def submodules_cyclic(mod):
     """All submodules of a cyclic module A = Q[t]/(Delta): the images
     f(T) A (`_image`), one for each divisor f of Delta up to units, f(T) A
@@ -516,9 +522,7 @@ def submodules_cyclic(mod):
     O(g^3) rational operations in the genus g, against O(g^4) when f(T)
     is applied to all 2g unit vectors.
     """
-    delta, divisors = _divisors(mod)
-    return sorted((_image(mod, delta, f) for f in divisors),
-                  key=Submodule.sort_key)
+    return _images(mod, lambda delta, f: True)
 
 
 def orthogonal_complement(mod, p: Submodule) -> Submodule:
@@ -580,26 +584,18 @@ def is_isotropic(mod, p: Submodule) -> bool:
                               polys.exact_div(delta, order))
 
 
-def is_lagrangian(mod, p: Submodule) -> bool:
-    return is_isotropic(mod, p) and 2 * p.dim == mod.dim
-
-
 def _isotropic_images(mod, lagrangian_only):
     """The isotropic images f(T) A, sorted as `submodules_cyclic` sorts
     them: each divisor f of Delta is tested first (`_isotropic_divisor`,
     and 2 deg f = deg Delta for a Lagrangian, since f(T) A has dimension
     deg Delta - deg f), and only the divisors that pass get a basis."""
-    try:
-        delta, divisors = _divisors(mod)
-    except NotCyclic as exc:
-        raise UnsupportedModule(str(exc)) from exc
+    if not mod.is_cyclic:
+        raise UnsupportedModule(_NOT_CYCLIC)
     g = mod.generator()
     r = list(mod.blanchfield(g, g))
-    keep = (f for f in divisors
-            if not lagrangian_only or 2 * polys.deg(f) == mod.dim)
-    return sorted((_image(mod, delta, f) for f in keep
-                   if _isotropic_divisor(r, delta, f)),
-                  key=Submodule.sort_key)
+    return _images(mod, lambda delta, f: (
+        (not lagrangian_only or 2 * polys.deg(f) == mod.dim)
+        and _isotropic_divisor(r, delta, f)))
 
 
 def isotropic_submodules(mod):

@@ -377,15 +377,6 @@ def first_order_sig(desc: InfectionDesc, p: Submodule) -> SigExpr:
     return out
 
 
-def first_order_sig_set(desc: InfectionDesc):
-    """[(submodule, SigExpr)] over all isotropic submodules; the trivial
-    Alexander module yields the single zero entry."""
-    if desc.module.dim == 0:
-        return [(alexander.zero_submodule(desc.module), SigExpr.zero())]
-    return [(p, first_order_sig(desc, p))
-            for p in alexander.isotropic_submodules(desc.module)]
-
-
 # ---------------------------------------------------------------------------
 # Links: the closed catalogue
 # ---------------------------------------------------------------------------

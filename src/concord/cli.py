@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -53,16 +54,28 @@ def _matrix(spec):
     return v
 
 
+_EXPONENT = re.compile(r"([^/]*)[eE]([+-]?\d+)\s*")
+
+
 def _radius(text):
     """The --precision radius; below 2^-MAX_PRECISION_BITS it is an
-    unsupported shape (exit 3), refused before any work."""
+    unsupported shape (exit 3), refused before any work.  Fraction(text)
+    expands 10^|e| for a decimal exponent e, so e is read first: with d
+    digits, e < -(39 + d) puts the value below 10^-39 < 2^-128 (or it is
+    not positive), and e > 4300 is out of range."""
+    m = _EXPONENT.fullmatch(text)
+    mantissa, e = m.groups() if m else (text, "0")
     try:
-        radius = F(text)
+        e = int(e)
+        if e < -39 - sum(c.isdigit() for c in mantissa):
+            radius = F(1, 10 ** 40) if F(mantissa) > 0 else 0
+        else:
+            radius = F(text) if e <= 4300 else 0
     except (ValueError, ZeroDivisionError):
         radius = 0
     if radius <= 0:
         raise specs.SchemaError(
-            f"--precision must be a positive rational, got {text!r}")
+            f"--precision must be a positive rational < 10^4301, got {text!r}")
     return sf.check_radius(radius)
 
 

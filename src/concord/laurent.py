@@ -8,7 +8,6 @@ coprime module decompositions.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from . import polys
@@ -40,16 +39,8 @@ class LaurentPoly:
         self._c = {k: v for k, v in c.items() if v != 0}
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
-
-    @classmethod
-    def constant(cls, c):
-        return cls({0: c})
 
     @classmethod
     def t_power(cls, k, c=1):
@@ -58,12 +49,6 @@ class LaurentPoly:
     @classmethod
     def from_dense(cls, dense, shift=0):
         return cls({i + shift: c for i, c in enumerate(dense)})
-
-    def coeff(self, k):
-        return self._c.get(k, F(0))
-
-    def items(self):
-        return sorted(self._c.items())
 
     @property
     def is_zero(self):
@@ -95,18 +80,6 @@ class LaurentPoly:
         for k, v in self._c.items():
             dense[k - lo] = v
         return dense, lo
-
-    def __add__(self, other):
-        out = dict(self._c)
-        for k, v in other._c.items():
-            out[k] = out.get(k, F(0)) + v
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({k: -v for k, v in self._c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, F)):
@@ -229,11 +202,6 @@ def factor(p: LaurentPoly,
     return result
 
 
-_TERM = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?P<coef>\d+(?:/\d+)?)?\s*"
-    r"(?:\*\s*)?(?P<t>t(?:\^(?P<exp>-?\d+))?)?\s*")
-
-
 def render(p: LaurentPoly) -> str:
     """Text form "a_k*t^k + ...", exponents descending."""
     if p.is_zero:
@@ -253,27 +221,3 @@ def render(p: LaurentPoly) -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
-
-
-def parse(text: str) -> LaurentPoly:
-    """Parse the grammar produced by render()."""
-    s = text.strip()
-    if s == "0":
-        return LaurentPoly.zero()
-    coeffs = {}
-    pos = 0
-    while pos < len(s):
-        m = _TERM.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial at: {s[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coef = F(m.group("coef")) if m.group("coef") else F(1)
-        if m.group("t"):
-            exp = int(m.group("exp")) if m.group("exp") is not None else 1
-        else:
-            if m.group("coef") is None:
-                raise ValueError(f"empty term in {text!r}")
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, F(0)) + sign * coef
-        pos = m.end()
-    return LaurentPoly(coeffs)

@@ -61,10 +61,6 @@ class Metabolizer:
     matrix: SeifertMatrix
     basis: tuple  # g primitive integer vectors, canonical sign
 
-    @property
-    def rank(self):
-        return len(self.basis)
-
 
 @frozen
 class MetabolizerSearch:

@@ -645,10 +645,13 @@ class Request:
                       for p in signature.jumps()]}
         rho = self.rho0(spec)
         doc["rho0"] = {"mid": str(rho.mid), "rad": str(rho.rad)}
+        # a module with no Lagrangian enumeration (not cyclic) is refused
+        # here, before the metabolizer search
+        lagrangians = self.lagrangians(mod)
         metab_map, search = self.metabolizer_map(spec)
         doc["metabolizers"] = search.as_dict()
         doc["lagrangians"] = []
-        for l in self.lagrangians(mod):
+        for l in lagrangians:
             entry = {"order_ideal": lrender(l.order_ideal),
                      "basis": [[str(c) for c in row] for row in l.basis]}
             if enumerate_metabolizers:
@@ -691,38 +694,15 @@ class Request:
 
 
 # ---------------------------------------------------------------------------
-# One call, one request
+# One call, one request: the names the benchmark's tracer wraps
 # ---------------------------------------------------------------------------
 
 def knot_module(spec: KnotSpec) -> alexander.AlexanderModule:
     return Request(spec).module(spec)
 
 
-def infection_desc(spec: KnotSpec) -> calculus.InfectionDesc:
-    return Request(spec).infection_desc(spec)
-
-
 def knot_first_order_sigs(spec: KnotSpec):
     return Request(spec).first_order(spec)
-
-
-def first_order_entries(spec: KnotSpec):
-    return Request(spec).lagrangian_entries(spec)
-
-
-def knot_fos_exprs(spec: KnotSpec):
-    """First-order signature expressions of a knot (the set view)."""
-    return [e.expr for e in knot_first_order_sigs(spec)]
-
-
-def link_first_order_sigs(link: LinkSpec):
-    return Request(link).link_first_order(link)
-
-
-def zeroth_order_verdict(spec: KnotSpec,
-                         assumptions: Assumptions | None = None,
-                         target_radius=DEFAULT_RADIUS) -> Verdict:
-    return Request(spec, assumptions, target_radius).zeroth
 
 
 def first_order_verdict(spec: KnotSpec,
@@ -768,15 +748,6 @@ def _collect_facts(spec: KnotSpec):
              "value": fct.value, "lo": fct.lo, "hi": fct.hi,
              "provenance": fct.provenance}
             for s in specs.iter_specs(spec) for fct in s.facts]
-
-
-def report_json(spec, assumptions=None, **kw) -> str:
-    return json.dumps(report(spec, assumptions, **kw), indent=2,
-                      sort_keys=True)
-
-
-def report_text(spec, assumptions=None, **kw) -> str:
-    return render_report(report(spec, assumptions, **kw))
 
 
 def render_report(doc) -> str:

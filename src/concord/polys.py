@@ -74,12 +74,6 @@ def mul(p, q):
     return trim(out)
 
 
-def mul_xk(p, k):
-    if not p:
-        return []
-    return [F(0)] * k + list(p)
-
-
 def divmod_poly(a, b):
     """Quotient and remainder in Q[x]; b must be nonzero."""
     if not b:
@@ -157,12 +151,6 @@ def yun(p):
     if not p or deg(p) == 0:
         return []
     return [(monic([F(c) for c in a]), m) for a, m in _zyun(_zprim(p))]
-
-
-def squarefree_part(p):
-    if not p or deg(p) == 0:
-        return monic(p)
-    return monic(exact_div(p, gcd_monic(p, diff(p))))
 
 
 def sturm_chain(p):

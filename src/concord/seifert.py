@@ -116,12 +116,6 @@ class SeifertMatrix:
     def genus(self):
         return len(self.entries) // 2
 
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
-    def transpose(self):
-        return SeifertMatrix(tuple(zip(*self.entries)))
-
     def form(self, u, v):
         """Seifert form u^T V v on integer vectors."""
         n = self.size
@@ -264,13 +258,6 @@ class UnitCirclePoint:
     def is_minus_one(self):
         return self.cayley is None
 
-    def x_coordinate(self):
-        """omega + conj(omega) = 2(1 - s^2)/(1 + s^2)."""
-        if self.cayley is None:
-            return F(-2)
-        s = self.cayley
-        return 2 * (1 - s * s) / (1 + s * s)
-
 
 OMEGA_ONE = UnitCirclePoint.from_cayley(0)
 OMEGA_MINUS_ONE = UnitCirclePoint.minus_one()
@@ -409,10 +396,14 @@ def _x_roots(delta: LaurentPoly):
         boundary_mult += 1
     if polys.evaluate(g, F(2)) == 0:
         raise ArithmeticError("x = 2 root contradicts Delta(1) != 0")
-    sqf = polys.squarefree_part(g)
+    pieces = polys.yun(g)
+    # Yun's factors are monic, squarefree and pairwise coprime, so their
+    # product is the monic squarefree part
+    sqf = [F(1)]
+    for piece, _ in pieces:
+        sqf = polys.mul(sqf, piece)
     if polys.deg(sqf) < 1:
         return sqf, boundary_mult, []
-    pieces = polys.yun(g)
     roots = []
     for lo, hi in polys.isolate_real_roots(sqf, F(-2), F(2)):
         mult = None
@@ -688,26 +679,3 @@ def signature_function_csv(v: SeifertMatrix) -> str:
     for p in signature.jumps():
         lines.append(f"{p.x_lo},{p.x_hi},{p.multiplicity}")
     return "\n".join(lines) + "\n"
-
-
-def matrix_to_text(v: SeifertMatrix) -> str:
-    """Leading genus line, then row-major whitespace-separated entries."""
-    lines = [str(v.genus)]
-    for row in v.entries:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> SeifertMatrix:
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty matrix text")
-    g = int(tokens[0])
-    if g < 0:
-        raise ValueError(f"genus must be non-negative, got {g}")
-    n = 2 * g
-    vals = [int(t) for t in tokens[1:]]
-    if len(vals) != n * n:
-        raise ValueError(f"expected {n * n} entries for genus {g}")
-    return SeifertMatrix.from_rows(
-        [vals[i * n:(i + 1) * n] for i in range(n)])

@@ -5,7 +5,7 @@ from math import gcd
 
 from concord import polys
 from concord.alexander import (AlexanderModule, NotCyclic, Submodule,
-                               _unit_vectors, submodules_cyclic)
+                               _unit_vectors, is_isotropic, submodules_cyclic)
 from concord.laurent import (LaurentPoly, ZeroPolynomial, conjugate, factor,
                              normalize)
 from concord.seifert import SeifertMatrix, alexander_poly, presentation_matrix
@@ -32,6 +32,17 @@ def random_seifert(rng, genus, bound=5):
                     m[2 * i + r][2 * j + c2] = blk[r][c2]
                     m[2 * j + c2][2 * i + r] = blk[r][c2]
     return SeifertMatrix.from_rows(m)
+
+
+def mul_xk(p, k):
+    """x^k p for a dense polynomial p."""
+    if not p:
+        return []
+    return [F(0)] * k + list(p)
+
+
+def is_lagrangian(mod, p: Submodule) -> bool:
+    return is_isotropic(mod, p) and 2 * p.dim == mod.dim
 
 
 def _identity(g):
@@ -492,7 +503,7 @@ def _ratfunc_residue(num, den, shift, delta):
         shift -= 1
     r = polys.mul(num, polys.exact_div(delta, den))
     if shift >= 0:
-        r = polys.mul_xk(r, shift)
+        r = mul_xk(r, shift)
     else:
         t_inv = _inverse_mod([F(0), F(1)], delta)
         for _ in range(-shift):
@@ -503,7 +514,7 @@ def _ratfunc_residue(num, den, shift, delta):
 def bl_t_multiple(mod, r):
     """The residue of t Bl for Bl = r/Delta."""
     delta, _ = mod.delta.to_dense()
-    return tuple(polys.rem(polys.mul_xk(list(r), 1), delta))
+    return tuple(polys.rem(mul_xk(list(r), 1), delta))
 
 
 def bl_conjugate(mod, r):
@@ -515,7 +526,7 @@ def bl_conjugate(mod, r):
     if not r:
         return ()
     rev = polys.trim(list(reversed(r)))
-    return tuple(polys.rem(polys.mul_xk(rev, len(delta) - len(r)), delta))
+    return tuple(polys.rem(mul_xk(rev, len(delta) - len(r)), delta))
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_criterion_4_symbolic_sets():
     k57 = specs.KnotSpec("K57", specs.GenusTwoFig9(2, 1, (l1, l2),
                                                    (ll1, ll2), b))
     exprs = {}
-    for e in pipeline.first_order_entries(k57):
+    for e in pipeline.Request(k57).lagrangian_entries(k57):
         exprs[e.derivative.link.name] = e.expr
     assert exprs["K57.J11"] == _expr(("rho0(L1)", 1), ("rho0(B)", 1),
                                      ("rho0(LL1)", 1))
@@ -181,7 +181,8 @@ def test_criterion_5_second_order_pipeline():
         "rho1(9_46)": {"interval": ["-10", "10"]}})
     so = second_order_set(k73, asm)
     got = sorted(m.render() for m in so.members)
-    want = sorted(e.render() for e in pipeline.knot_fos_exprs(l1))
+    want = sorted(e.expr.render()
+                  for e in pipeline.knot_first_order_sigs(l1))
     assert got == want
     assert second_order_verdict(k73, asm).conclusion == NOT_SLICE
 
@@ -206,7 +207,7 @@ def test_criterion_5_second_order_pipeline():
     assert [c.name for c in link.components] == ["L1", "LL2"]
     got = sorted(m.render() for m in so74.members)
     linkset = sorted(
-        e.render() for e in pipeline.link_first_order_sigs(link))
+        e.render() for e in pipeline.Request(link).link_first_order(link))
     assert got == linkset == want
     assert second_order_verdict(k74, asm74).conclusion == NOT_SLICE
 

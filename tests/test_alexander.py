@@ -5,8 +5,8 @@ import pytest
 
 from concord import polys
 from concord.alexander import (NotCyclic, UnsupportedModule, is_isotropic,
-                               is_lagrangian, isotropic_submodules,
-                               lagrangians, orthogonal_complement, present,
+                               isotropic_submodules, lagrangians,
+                               orthogonal_complement, present,
                                submodule_from_vectors, submodules_cyclic,
                                zero_submodule)
 from concord.laurent import LaurentPoly, normalize, render
@@ -14,7 +14,7 @@ from concord.seifert import (connected_sum, genus_one, stabilize, torus_knot,
                              twist_knot, unknot)
 
 import test_isotropy
-from helpers import (FreeMatrix, bl_conjugate, bl_t_multiple,
+from helpers import (FreeMatrix, bl_conjugate, bl_t_multiple, is_lagrangian,
                      oracle_blanchfield, proper_submodules, qi_charpoly,
                      random_seifert)
 

@@ -6,9 +6,8 @@ import pytest
 from concord import alexander, pipeline, seifert, specs
 from concord.calculus import (Assumptions, Atom, Interval, MissingBaseFact,
                               NotIsotropic, SigExpr, UnsupportedLink,
-                              evaluate, first_order_sig, first_order_sig_set,
-                              nullity, rho0_atom, rho0_of_infected_trivial_link,
-                              rho1_atom)
+                              evaluate, first_order_sig, nullity, rho0_atom,
+                              rho0_of_infected_trivial_link, rho1_atom)
 F = Fraction
 
 
@@ -86,15 +85,25 @@ def test_evaluate_resolves_concrete_rho0():
     assert res.interval.lo <= F(-4) <= res.interval.hi
 
 
+def _desc(k):
+    return pipeline.Request(k).infection_desc(k)
+
+
+def _first_order_pairs(desc):
+    """(submodule, first-order expression) over the isotropic submodules."""
+    return [(p, first_order_sig(desc, p))
+            for p in alexander.isotropic_submodules(desc.module)]
+
+
 def _example45_desc():
     j1, j2 = specs.abstract_knot("J1"), specs.abstract_knot("J2")
     k = specs.KnotSpec("K45", specs.GenusOne(1, 0, (j1, j2), base_name="9_46"))
-    return pipeline.infection_desc(k), k
+    return _desc(k), k
 
 
 def test_first_order_sig_example45():
     desc, _ = _example45_desc()
-    sets = first_order_sig_set(desc)
+    sets = _first_order_pairs(desc)
     rendered = sorted(e.render() for _, e in sets)
     assert rendered == ["rho0(J1)", "rho0(J2)",
                         "rho1(9_46) + rho0(J1) + rho0(J2)"]
@@ -102,7 +111,7 @@ def test_first_order_sig_example45():
     j1, j2 = specs.abstract_knot("J2"), specs.abstract_knot("J1")
     k = specs.KnotSpec("K45s", specs.GenusOne(1, 0, (j1, j2), base_name="9_46"))
     swapped = sorted(e.render()
-                     for _, e in first_order_sig_set(pipeline.infection_desc(k)))
+                     for _, e in _first_order_pairs(_desc(k)))
     assert swapped == rendered
 
 
@@ -117,7 +126,7 @@ def test_first_order_sig_errors():
     # missing base facts on a twisted base: Lagrangian term undeclared
     kt = specs.KnotSpec("Kt", specs.GenusOne(1, 4,
                         (specs.abstract_knot("A"), specs.abstract_knot("B"))))
-    desct = pipeline.infection_desc(kt)
+    desct = _desc(kt)
     lag = alexander.lagrangians(desct.module)[0]
     with pytest.raises(MissingBaseFact):
         first_order_sig(desct, lag)
@@ -129,24 +138,24 @@ def test_second_derived_sites_contribute_nothing():
     k = specs.KnotSpec(
         "K", specs.GenusOne(1, 0, (j1, specs.unknot_spec()), base_name="B"),
         sites=(specs.Site(infect=deep, second_derived=True),))
-    desc = pipeline.infection_desc(k)
-    sets = first_order_sig_set(desc)
+    desc = _desc(k)
+    sets = _first_order_pairs(desc)
     assert all("DEEP" not in e.render() for _, e in sets)
 
 
 def test_no_sites_slice_base_gives_zero():
     k = specs.KnotSpec("R", specs.GenusOne(2, 0))
-    desc = pipeline.infection_desc(k)
-    for p, e in first_order_sig_set(desc):
+    desc = _desc(k)
+    for p, e in _first_order_pairs(desc):
         if 2 * p.dim == desc.module.dim:
             assert e.is_zero_expr
 
 
 def test_trivial_delta_single_zero_entry():
     k = specs.KnotSpec("U", specs.Unknot())
-    desc = pipeline.infection_desc(k)
-    sets = first_order_sig_set(desc)
-    assert len(sets) == 1 and sets[0][1].is_zero_expr
+    entries = pipeline.knot_first_order_sigs(k)
+    assert len(entries) == 1 and entries[0].expr.is_zero_expr
+    assert entries[0].route == "degenerate"
 
 
 def test_rho0_of_infected_trivial_link():
@@ -172,42 +181,46 @@ def test_rho0_of_infected_trivial_link():
     assert rho0_of_infected_trivial_link(j).is_zero_expr
 
 
+def _link_first_order(link):
+    return pipeline.Request(link).link_first_order(link)
+
+
 def test_link_first_order_patterns():
     j1 = specs.abstract_knot("J1")
     j2 = specs.abstract_knot("J2")
     k45 = specs.KnotSpec("K45", specs.GenusOne(1, 0, (j1, j2),
                                                base_name="9_46"))
     u = specs.unknot_spec("U")
-    base = {e.render() for e in pipeline.knot_fos_exprs(k45)}
+    base = {e.expr.render() for e in pipeline.knot_first_order_sigs(k45)}
     # clasped pattern, trivial second component: exactly the set of J1
     clasp_triv = specs.LinkSpec("C", components=(k45, u),
                                 structure="clasp_fig12")
-    got = {e.render() for e in pipeline.link_first_order_sigs(clasp_triv)}
+    got = {e.render() for e in _link_first_order(clasp_triv)}
     assert got == base
     # knotted second component: each entry also appears with its rho0 added
     w = specs.abstract_knot("W")
     clasp = specs.LinkSpec("C2", components=(k45, w), structure="clasp_fig12")
-    got = {e.render() for e in pipeline.link_first_order_sigs(clasp)}
+    got = {e.render() for e in _link_first_order(clasp)}
     assert base <= got
     assert len(got) == 2 * len(base)
     # split link with an unknot: exactly the first-order set of K45
     split = specs.LinkSpec("S", components=(k45, u), structure="split")
-    got_split = sorted(e.render() for e in pipeline.link_first_order_sigs(split))
+    got_split = sorted(e.render() for e in _link_first_order(split))
     assert got_split == sorted(base)
     # 2-component trivial link: {0}
     triv = specs.LinkSpec("T", components=(u, u), structure="split")
-    exprs = pipeline.link_first_order_sigs(triv)
+    exprs = _link_first_order(triv)
     assert [e.render() for e in exprs] == ["0"]
     # off-catalogue structure
     bad = specs.LinkSpec("W", components=(j1, j2), structure="declared")
     with pytest.raises(UnsupportedLink):
-        pipeline.link_first_order_sigs(bad)
+        _link_first_order(bad)
     # raw infected-trivial data without split/boundary structure cannot be
     # enumerated completely, so it is refused rather than under-counted
     raw = specs.LinkSpec("R", components=(u, u), structure="infected_trivial",
                          infections=(specs.LinkInfection(j1),))
     with pytest.raises(UnsupportedLink):
-        pipeline.link_first_order_sigs(raw)
+        _link_first_order(raw)
 
 
 def test_nullity_rules():
@@ -238,15 +251,15 @@ def test_first_order_monotone_in_submodule():
         j2 = specs.abstract_knot(f"B{checked}")
         k = specs.KnotSpec("K", specs.GenusOne(rng.randint(1, 4), 0, (j1, j2),
                                                base_name="base"))
-        desc = pipeline.infection_desc(k)
+        desc = _desc(k)
         sets = dict()
         zero_entry = None
-        for p, e in first_order_sig_set(desc):
+        for p, e in _first_order_pairs(desc):
             if p.dim == 0:
                 zero_entry = e
         assert zero_entry is not None
         zero_atoms = {a.name for a in zero_entry.atoms if a.kind == "rho0"}
-        for p, e in first_order_sig_set(desc):
+        for p, e in _first_order_pairs(desc):
             atoms = {a.name for a in e.atoms if a.kind == "rho0"}
             assert atoms <= zero_atoms   # enlarging P only removes terms
         checked += 1

@@ -4,20 +4,23 @@ the exit codes of non-integral numbers, of Delta above the
 factorization bound, of Seifert matrices above it, of files that are not
 UTF-8 or nest too deeply for the JSON decoder, of knot trees above the
 nesting bound, of flags that are not JSON booleans, and of empty
-intervals, band meridians off the surface and declared nullities out of
-range; and the rho0 precision bound, met and passed."""
+intervals, band meridians off the surface, declared nullities out of
+range and malformed declared_rho0 pairs; the rho0 precision bound, met
+and passed, and decimal exponents refused before they are expanded; and
+a report on a non-cyclic module refused before the metabolizer search."""
 
 import contextlib
 import copy
 import io
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from concord import alexander, cli, laurent, seifert, specs
+from concord import alexander, cli, laurent, metabolizers, seifert, specs
 
 DATA = Path(__file__).parent / "data" / "reports"
 SPECS = sorted(DATA.glob("*.spec.json"))
@@ -310,3 +313,66 @@ def test_precision_bound_is_refused_before_any_work(monkeypatch):
         assert len(err.strip().splitlines()) == 1, err
     with pytest.raises(seifert.UnsupportedPrecision):
         seifert.rho0(seifert.twist_knot(-3), below)
+
+
+@pytest.mark.parametrize("radius,want", [
+    ("1e-10000000", 3), ("0e-10000000", 2), ("-1e-10000000", 2),
+    ("1e5000", 2)])
+def test_precision_exponent_read_before_the_value(monkeypatch, radius, want):
+    """Fraction(text) would expand 10^|e|; these are refused in well
+    under 2 s, before the document is read."""
+    monkeypatch.setattr(cli, "_read", None)
+    start = time.perf_counter()
+    code, out, err = _run([f"--precision={radius}", "rho0",
+                           str(DATA / "twist_m3.spec.json")])
+    assert time.perf_counter() - start < 2
+    assert code == want and not out
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def test_precision_texts_parse_as_fractions():
+    assert cli._radius("1e-30") == Fraction(1, 10 ** 30)
+    assert cli._radius("1/1000000000") == Fraction(1, 10 ** 9)
+    assert cli._radius("2.5e-3") == Fraction(1, 400)
+    assert cli._radius("1e4300") == 10 ** 4300
+
+
+def _link(tmp_path, declared_rho0):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps({
+        "name": "W", "link": True, "structure": "declared",
+        "declared_nullity": 0, "declared_rho0": declared_rho0,
+        "components": [{"name": "J", "family": {"type": "abstract"}},
+                       {"name": "U", "family": {"type": "unknot"}}]}))
+    return str(path)
+
+
+def test_declared_rho0_reaches_cooper(tmp_path):
+    path = _link(tmp_path, [["rho0(J)", "1/2"], ["const", "-1"]])
+    code, out, _ = _run(["--format", "json", "cooper", path])
+    assert code == 0
+    row, = json.loads(out)["rows"]
+    assert row["value"] == "1/2*rho0(J) - 1"
+
+
+@pytest.mark.parametrize("pair", [["rho0(J)"], [1, "2"], ["rho0(J)", "x"]])
+def test_malformed_declared_rho0_pair(tmp_path, pair):
+    code, out, err = _run(["cooper", _link(tmp_path, [pair])])
+    assert code == 2 and not out
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def test_noncyclic_report_refused_before_search(monkeypatch):
+    """genus_one(1,2) # fig9(2,-2) has a non-cyclic Alexander module: the
+    report exits 3 at the Lagrangians, without the metabolizer search."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("bounded search reached")
+
+    monkeypatch.setattr(metabolizers, "_bounded_search", spy)
+    code, out, err = _run([
+        "report", str(DATA.parent / "noncyclic_sum.spec.json")])
+    assert code == 3 and not out and not calls
+    assert "cyclic" in err

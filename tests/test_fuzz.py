@@ -153,7 +153,7 @@ def test_calculus_and_derivative_routes_agree():
         a = specs.KnotSpec("coreA", specs.Torus(2, 3))
         b = specs.KnotSpec("coreB", specs.Twist(6))
         k = specs.KnotSpec("K", specs.GenusOne(l, 0, (a, b)))
-        desc = pipeline.infection_desc(k)
+        desc = pipeline.Request(k).infection_desc(k)
         mod = desc.module
         for m in genus1_metabolizers(specs.seifert_matrix(k)):
             lag = metabolizer_to_lagrangian(mod, m)

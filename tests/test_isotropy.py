@@ -15,14 +15,14 @@ import pytest
 
 from concord import cli, polys
 from concord.alexander import (NotCyclic, UnsupportedModule, _krylov,
-                               _unit_vectors, is_isotropic, is_lagrangian,
+                               _unit_vectors, is_isotropic,
                                isotropic_submodules, lagrangians, present,
                                submodules_cyclic, zero_submodule)
 from concord.seifert import (connected_sum, genus_one, stabilize, torus_knot,
                              twist_knot)
 
 from helpers import (FreeMatrix, blanchfield_pairs_isotropic,
-                     full_minimal_polynomial, random_metabolic,
+                     full_minimal_polynomial, is_lagrangian, random_metabolic,
                      random_seifert, vector_annihilator)
 
 F = Fraction

@@ -5,7 +5,7 @@ import pytest
 
 from concord import polys
 from concord.laurent import (LaurentPoly, UnsupportedDegree, ZeroPolynomial,
-                             conjugate, factor, gcd, normalize, parse, render)
+                             conjugate, factor, gcd, normalize, render)
 
 from helpers import fox_milnor, resultant
 
@@ -26,7 +26,7 @@ def test_normalize_shift_and_scale():
 
 
 def test_normalize_constant_extracts_unit():
-    assert normalize(LaurentPoly.constant(7)) == LaurentPoly.one()
+    assert normalize(LaurentPoly({0: 7})) == LaurentPoly.one()
 
 
 def test_normalize_idempotent():
@@ -42,7 +42,7 @@ def test_normalize_idempotent():
 
 def test_normalize_zero_raises():
     with pytest.raises(ZeroPolynomial):
-        normalize(LaurentPoly.zero())
+        normalize(LaurentPoly())
 
 
 def test_normalize_multiplicative():
@@ -59,9 +59,9 @@ def test_normalize_multiplicative():
 
 def test_gcd_with_zero():
     p = lp((2, 2), (1, -5), (0, 2))
-    assert gcd(p, LaurentPoly.zero()) == normalize(p)
+    assert gcd(p, LaurentPoly()) == normalize(p)
     with pytest.raises(ZeroPolynomial):
-        gcd(LaurentPoly.zero(), LaurentPoly.zero())
+        gcd(LaurentPoly(), LaurentPoly())
 
 
 def test_gcd_examples():
@@ -100,7 +100,7 @@ def test_conjugate_examples():
     assert conjugate(lp((1, 1), (0, -2))) == lp((1, 2), (0, -1))
     pal = lp((2, 1), (1, -1), (0, 1))
     assert conjugate(pal) == pal
-    assert conjugate(LaurentPoly.constant(F(3, 7))) == LaurentPoly.one()
+    assert conjugate(LaurentPoly({0: F(3, 7)})) == LaurentPoly.one()
 
 
 def test_conjugate_involution():
@@ -158,16 +158,7 @@ def test_fox_milnor_norms_random():
         count += 1
 
 
-def test_render_parse_round_trip():
-    rng = random.Random(7)
-    for _ in range(80):
-        p = LaurentPoly({rng.randint(-5, 5): F(rng.randint(-9, 9),
-                                               rng.randint(1, 5))
-                         for _ in range(rng.randint(0, 5))})
-        assert parse(render(p)) == p
-
-
 def test_render_descending():
     assert render(lp((2, 2), (1, -5), (0, 2))) == "2*t^2 - 5*t + 2"
     assert render(lp((-1, 1), (0, -2))) == "-2 + t^-1"
-    assert render(LaurentPoly.zero()) == "0"
+    assert render(LaurentPoly()) == "0"

@@ -5,10 +5,9 @@ import pytest
 
 from concord import cli, pipeline, specs
 from concord.calculus import Assumptions
-from concord.pipeline import (CONSISTENT, INCONCLUSIVE, NOT_SLICE,
+from concord.pipeline import (CONSISTENT, INCONCLUSIVE, NOT_SLICE, Request,
                               cooper_check, first_order_verdict, ingest,
-                              report, report_json, second_order_set,
-                              second_order_verdict, zeroth_order_verdict)
+                              report, second_order_set, second_order_verdict)
 from concord.specs import SchemaError
 
 F = Fraction
@@ -65,7 +64,7 @@ def test_site_coordinate_length_checked():
         sites=(specs.Site(infect=specs.abstract_knot("A"),
                           eta_module=(F(1),)),))
     with pytest.raises(SchemaError):
-        pipeline.infection_desc(k)
+        Request(k).infection_desc(k)
 
 
 def test_ingest_full_document():
@@ -87,14 +86,14 @@ def test_ingest_full_document():
 
 def test_zeroth_order_verdicts():
     t23 = specs.KnotSpec("t23", specs.Torus(2, 3))
-    v = zeroth_order_verdict(t23)
+    v = Request(t23).zeroth
     assert v.conclusion == NOT_SLICE
-    assert zeroth_order_verdict(_twist(2)).conclusion == CONSISTENT
-    assert zeroth_order_verdict(specs.unknot_spec()).conclusion == CONSISTENT
+    assert Request(_twist(2)).zeroth.conclusion == CONSISTENT
+    assert Request(specs.unknot_spec()).zeroth.conclusion == CONSISTENT
     abstract = specs.abstract_knot("X")
-    assert zeroth_order_verdict(abstract).conclusion == INCONCLUSIVE
+    assert Request(abstract).zeroth.conclusion == INCONCLUSIVE
     asm = Assumptions.from_dict({"rho0(X)": {"interval": ["1", "2"]}})
-    assert zeroth_order_verdict(abstract, asm).conclusion == NOT_SLICE
+    assert Request(abstract, asm).zeroth.conclusion == NOT_SLICE
 
 
 def test_first_order_twist_battery():
@@ -107,7 +106,7 @@ def test_first_order_twist_battery():
 def test_first_order_no_lagrangians():
     # figure-eight shape: averaged signature is 0 but no Lagrangian exists
     fig8 = _twist(1)
-    assert zeroth_order_verdict(fig8).conclusion == CONSISTENT
+    assert Request(fig8).zeroth.conclusion == CONSISTENT
     v = first_order_verdict(fig8)
     assert v.conclusion == NOT_SLICE
     assert "algebraically slice" in v.witness
@@ -132,7 +131,7 @@ def test_first_order_inconclusive_on_opaque():
 
 def test_verdict_monotonicity():
     t23 = specs.KnotSpec("t23", specs.Torus(2, 3))
-    assert zeroth_order_verdict(t23).conclusion == NOT_SLICE
+    assert Request(t23).zeroth.conclusion == NOT_SLICE
     assert first_order_verdict(t23).conclusion == NOT_SLICE
     assert second_order_verdict(t23).conclusion == NOT_SLICE
 
@@ -156,7 +155,7 @@ def test_second_order_degenerate_delta():
 def test_trivial_delta_all_levels_degenerate():
     for spec in (_twist(0), specs.KnotSpec("g", specs.GenusOne(-1, 5)),
                  specs.unknot_spec()):
-        assert zeroth_order_verdict(spec).conclusion == CONSISTENT
+        assert Request(spec).zeroth.conclusion == CONSISTENT
         assert first_order_verdict(spec).conclusion == CONSISTENT
         assert second_order_verdict(spec).conclusion == CONSISTENT
         assert [e.expr.render()
@@ -189,7 +188,8 @@ def test_example73_second_order():
     k, l1, asm = example73()
     so = second_order_set(k, asm)
     members = sorted(m.render() for m in so.members)
-    expected = sorted(e.render() for e in pipeline.knot_fos_exprs(l1))
+    expected = sorted(e.expr.render()
+                      for e in pipeline.knot_first_order_sigs(l1))
     assert members == expected
     assert second_order_verdict(k, asm).conclusion == NOT_SLICE
     # without the largeness assumptions the verdict stays inconclusive
@@ -218,14 +218,15 @@ def example74():
 
 def test_example74_second_order():
     k, l1, asm = example74()
-    entries = pipeline.first_order_entries(k)
+    entries = Request(k).lagrangian_entries(k)
     assert len(entries) == 4
     so = second_order_set(k, asm)
     active = [e for e in so.entries if not e.certified_nonzero]
     assert len(active) == 1
     assert active[0].derivative.link.structure == "split"
     members = sorted(m.render() for m in so.members)
-    expected = sorted(e.render() for e in pipeline.knot_fos_exprs(l1))
+    expected = sorted(e.expr.render()
+                      for e in pipeline.knot_first_order_sigs(l1))
     assert members == expected
     assert second_order_verdict(k, asm).conclusion == NOT_SLICE
     assert first_order_verdict(k, asm).conclusion == CONSISTENT
@@ -274,8 +275,8 @@ def test_cooper_whitehead_tradeoff_rows():
 
 def test_report_deterministic():
     k, _, asm = example73()
-    a = report_json(k, asm)
-    b = report_json(k, asm)
+    a, b = (json.dumps(report(k, asm), indent=2, sort_keys=True)
+            for _ in range(2))
     assert a == b
     doc = json.loads(a)
     assert doc["verdicts"]["second"]["conclusion"] == NOT_SLICE
@@ -285,14 +286,15 @@ def test_report_deterministic():
 
 
 def test_report_text_renders():
-    text = pipeline.report_text(_twist(6))
+    text = pipeline.render_report(report(_twist(6)))
     assert "NotSlice" in text
     assert "(1.5)-solvability" in text
 
 
 def test_report_text_enumerates_metabolizers(tmp_path, capsys):
-    assert "metabolizer [[" not in pipeline.report_text(_twist(2))
-    text = pipeline.report_text(_twist(2), enumerate_metabolizers=True)
+    assert "metabolizer [[" not in pipeline.render_report(report(_twist(2)))
+    text = pipeline.render_report(
+        report(_twist(2), enumerate_metabolizers=True))
     assert "  order 2*t - 1\n    metabolizer [[1, 2]]\n" in text
     spec_path = tmp_path / "k.json"
     spec_path.write_text(json.dumps(

@@ -9,8 +9,9 @@ from concord.seifert import (UnitCirclePoint, alexander_poly, connected_sum,
                              jump_set, lt_signature, mirror, rho0, stabilize,
                              twist_knot)
 
-from helpers import (bl_conjugate, bl_t_multiple, oracle_lt_signature,
-                     random_cayley, random_metabolic, random_seifert)
+from helpers import (bl_conjugate, bl_t_multiple, is_lagrangian,
+                     oracle_lt_signature, random_cayley, random_metabolic,
+                     random_seifert)
 
 F = Fraction
 OM = UnitCirclePoint.from_cayley
@@ -122,7 +123,7 @@ def test_metabolizer_images_isotropic():
         lag = mb.metabolizer_to_lagrangian(mod, mb.Metabolizer(v, basis))
         assert alexander.is_isotropic(mod, lag)
         if mod.dim == 2 * g:
-            assert alexander.is_lagrangian(mod, lag)
+            assert is_lagrangian(mod, lag)
 
 
 def test_algebraically_slice_implies_rho0_contains_zero():
@@ -207,7 +208,7 @@ def test_theorem_style_slice_bases_give_zero():
     for _ in range(30):
         l = rng.randint(1, 6)
         k = specs.KnotSpec("R", specs.GenusOne(l, 0))
-        desc = pipeline.infection_desc(k)
+        desc = pipeline.Request(k).infection_desc(k)
         if desc.module.dim == 0:
             continue
         for lag in alexander.lagrangians(desc.module):

@@ -37,7 +37,8 @@ def _load(name):
 def test_golden_report(name):
     spec, asm = _load(name)
     want = (DATA / f"{name}.report.json").read_text()
-    assert pipeline.report_json(spec, asm) + "\n" == want
+    doc = pipeline.report(spec, asm)
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == want
 
 
 def _count_stages(monkeypatch, stages=STAGES):

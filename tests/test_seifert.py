@@ -7,10 +7,9 @@ from concord import seifert
 from concord.laurent import LaurentPoly, normalize
 from concord.seifert import (NotAKnot, SeifertMatrix, UnitCirclePoint,
                              alexander_poly, connected_sum, genus_one,
-                             jump_set, lt_signature, matrix_from_text,
-                             matrix_to_text, mirror, rho0, signature_arcs,
-                             signature_function_csv, stabilize, torus_knot,
-                             twist_knot, unknot)
+                             jump_set, lt_signature, mirror, rho0,
+                             signature_arcs, signature_function_csv,
+                             stabilize, torus_knot, twist_knot, unknot)
 
 F = Fraction
 OM = UnitCirclePoint.from_cayley
@@ -139,21 +138,12 @@ def test_stabilization_preserves_invariants():
         assert lt_signature(w, OM(s)) == lt_signature(v, OM(s))
 
 
-def test_signature_csv_and_matrix_text():
+def test_signature_csv():
     csv = signature_function_csv(torus_knot(2, 3))
     lines = csv.strip().splitlines()
     assert lines[0] == "theta_lo,theta_hi,sigma"
     assert lines[1].endswith(",0") and lines[2].endswith(",-2")
     assert "x_lo,x_hi,multiplicity" in lines
-    txt = matrix_to_text(twist_knot(2))
-    assert txt.splitlines()[0] == "1"
-    assert matrix_from_text(txt).entries == twist_knot(2).entries
-    with pytest.raises(ValueError):
-        matrix_from_text("1\n1 2 3")
-    assert matrix_from_text("0").size == 0
-    # a negative genus is not the unknot
-    with pytest.raises(ValueError, match="genus"):
-        matrix_from_text("-1 1 2 3 4")
 
 
 def test_signature_arcs_dyadic_and_nested():
@@ -168,6 +158,7 @@ def test_signature_arcs_dyadic_and_nested():
 
 
 def test_unit_circle_point():
-    assert OM(0).x_coordinate() == 2
-    assert OM(1).x_coordinate() == 0
-    assert MINUS_ONE.x_coordinate() == -2
+    # x = omega + conj(omega) = 2(1 - s^2)/(1 + s^2) at Cayley parameter s
+    assert seifert._cayley_x(OM(0).cayley) == 2
+    assert seifert._cayley_x(OM(1).cayley) == 0
+    assert MINUS_ONE.is_minus_one and not OM(1).is_minus_one
