@@ -54,28 +54,29 @@ def _matrix(spec):
     return v
 
 
-_EXPONENT = re.compile(r"([^/]*)[eE]([+-]?\d+)\s*")
+_EXPONENT = re.compile(r"([^/eE]*)[eE]([+-]?\d+(?:_\d+)*)\s*")
+_BOUND_DIGITS = len(str(1 << sf.MAX_PRECISION_BITS))
 
 
 def _radius(text):
     """The --precision radius; below 2^-MAX_PRECISION_BITS it is an
     unsupported shape (exit 3), refused before any work.  Fraction(text)
     expands 10^|e| for a decimal exponent e, so e is read first: with d
-    digits, e < -(39 + d) puts the value below 10^-39 < 2^-128 (or it is
-    not positive), and e > 4300 is out of range."""
+    digits, e < -(_BOUND_DIGITS + d) puts the value below 10^-_BOUND_DIGITS
+    < 2^-MAX_PRECISION_BITS (or not positive); e > 4300 is out of range."""
     m = _EXPONENT.fullmatch(text)
     mantissa, e = m.groups() if m else (text, "0")
     try:
-        e = int(e)
-        if e < -39 - sum(c.isdigit() for c in mantissa):
-            radius = F(1, 10 ** 40) if F(mantissa) > 0 else 0
-        else:
-            radius = F(text) if e <= 4300 else 0
+        below = int(e) < -_BOUND_DIGITS - sum(c.isdigit() for c in mantissa)
+        radius = F(mantissa if below else text) if int(e) <= 4300 else 0
     except (ValueError, ZeroDivisionError):
         radius = 0
     if radius <= 0:
         raise specs.SchemaError(
             f"--precision must be a positive rational < 10^4301, got {text!r}")
+    if below:
+        raise sf.UnsupportedPrecision(
+            f"--precision {text} is below 2^-{sf.MAX_PRECISION_BITS}")
     return sf.check_radius(radius)
 
 

@@ -317,7 +317,8 @@ def test_precision_bound_is_refused_before_any_work(monkeypatch):
 
 @pytest.mark.parametrize("radius,want", [
     ("1e-10000000", 3), ("0e-10000000", 2), ("-1e-10000000", 2),
-    ("1e5000", 2)])
+    ("1e5000", 2), ("1e99999999e-100000000", 2), ("1e-99999999e-100", 2),
+    ("1e-1_0000000", 3), ("1_0e-1_0000000", 3)])
 def test_precision_exponent_read_before_the_value(monkeypatch, radius, want):
     """Fraction(text) would expand 10^|e|; these are refused in well
     under 2 s, before the document is read."""
