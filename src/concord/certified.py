@@ -7,6 +7,13 @@ Everything here is directed: sqrt via integer square roots, arctan via
 argument halving plus an alternating series whose truncation error is
 bounded by the first omitted term, pi via Machin's formula.  No floating
 point anywhere, so enclosures are proofs, not estimates.
+
+An arc end of a signature function is arccos(c)/pi with c = x/2 at a root
+x of Delta's symmetrized polynomial.  When root isolation finds that x
+exactly and c is 0, +-1/2 or +-1, the end is the rational in
+`EXACT_ACOS_OVER_PI`, with no series summed; for knots only c = 1/2 (a
+Phi6 factor of Delta) occurs.  Every other end is irrational (Niven) and
+is enclosed through the series.
 """
 
 from __future__ import annotations
@@ -184,11 +191,23 @@ def acos_bounds(y: Fraction, bits: int):
     return 2 * lo1, 2 * hi1
 
 
+# arccos(y)/pi at the only rational y where it is rational (Niven 1956)
+EXACT_ACOS_OVER_PI = {F(-1): F(1), F(-1, 2): F(2, 3), F(0): F(1, 2),
+                      F(1, 2): F(1, 3), F(1): F(0)}
+
+
 def acos_over_pi(lo: Fraction, hi: Fraction, bits: int):
     """Enclosure of arccos(c)/pi over all c in [lo, hi] subset of [-1, 1].
 
-    arccos is decreasing, so the upper endpoint comes from lo.
+    arccos is decreasing, so the upper endpoint comes from lo.  A point
+    lo == hi in `EXACT_ACOS_OVER_PI` gives its exact value (r, r): by
+    Niven's theorem (Irrational Numbers, 1956, Cor. 3.12) these five are
+    the only rationals y with arccos(y)/pi rational, so every other end
+    goes through the series.
     """
+    if lo == hi and lo in EXACT_ACOS_OVER_PI:
+        r = EXACT_ACOS_OVER_PI[lo]
+        return r, r
     t_lo, _ = acos_bounds(F(hi), bits)
     _, t_hi = acos_bounds(F(lo), bits)
     pi_lo, pi_hi = pi_bounds(bits)

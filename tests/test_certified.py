@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from concord import certified
 from concord.certified import (Interval, acos_bounds, acos_over_pi,
                                atan_bounds, pi_bounds, sqrt_bounds)
 
@@ -60,6 +61,26 @@ def test_acos_bounds():
     assert lo == hi == 0
     lo, hi = acos_bounds(F(-1), 48)
     assert float(lo) <= math.pi <= float(hi)
+
+
+# arccos(y)/pi at the five rationals y where it is rational (Niven)
+NIVEN = {F(-1): F(1), F(-1, 2): F(2, 3), F(0): F(1, 2), F(1, 2): F(1, 3),
+         F(1): F(0)}
+
+
+@pytest.mark.parametrize("bits", [48, 256])
+@pytest.mark.parametrize("y", sorted(NIVEN), ids=str)
+def test_acos_over_pi_exact_at_niven_points(y, bits):
+    assert acos_over_pi(y, y, bits) == (NIVEN[y], NIVEN[y])
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_exact_table_inside_the_series_enclosures(bits):
+    assert certified.EXACT_ACOS_OVER_PI == NIVEN
+    pi_lo, pi_hi = pi_bounds(bits)
+    for y, r in certified.EXACT_ACOS_OVER_PI.items():
+        lo, hi = acos_bounds(y, bits)
+        assert lo / pi_hi <= r <= hi / pi_lo
 
 
 def test_acos_over_pi_trefoil_jump():

@@ -1,14 +1,18 @@
 """The integer engines against the rational engines they replaced, kept
 here as oracles: congruence inertia against the characteristic
 polynomial, Bareiss over Z[t] against Bareiss over Q[t], the integer atan
-series against the Fraction one; and the precision loop of rho0 doing
-its precision-independent work once."""
+series against the Fraction one; the exact arc ends at Niven's rationals
+against the arctangent series; and the precision loop of rho0 doing its
+precision-independent work once."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from concord import certified, polys, seifert
-from concord.seifert import presentation_matrix, torus_knot, twist_knot
+from concord.seifert import (connected_sum, presentation_matrix, torus_knot,
+                             twist_knot)
 
 from helpers import (atan_series_q, bareiss_q, charpoly_signature,
                      qi_charpoly, random_seifert)
@@ -150,3 +154,126 @@ def test_rho0_precision_loop_does_invariant_work_once(monkeypatch):
     assert r.rad <= F(1, 10 ** 30)
     assert calls == {"alexander_poly": 1, "_x_roots": 1, "_arc_signatures": 1,
                      "lt_signature": arcs}
+
+
+def _torus_rho0(p, q):
+    """rho0 of T(p, q): -(p^2 - 1)(q^2 - 1)/(3pq)."""
+    return F(-(p * p - 1) * (q * q - 1), 3 * p * q)
+
+
+RADII = {"1e-9": F(1, 10 ** 9), "1e-30": F(1, 10 ** 30),
+         "2^-128": F(1, 1 << 128)}
+T23, T25 = torus_knot(2, 3), torus_knot(2, 5)
+# name: (Seifert matrix, exact rho0 from the torus formula, additive
+# under #; twist(-1) is the trefoil T(2, 3))
+KNOTS = {"T(2,3)": (T23, _torus_rho0(2, 3)),
+         "twist(-1)": (twist_knot(-1), _torus_rho0(2, 3)),
+         "T(2,9)": (torus_knot(2, 9), _torus_rho0(2, 9)),
+         "T(3,4)": (torus_knot(3, 4), _torus_rho0(3, 4)),
+         "T(2,3)#T(2,3)": (connected_sum(T23, T23), 2 * _torus_rho0(2, 3)),
+         "T(2,3)#T(2,5)": (connected_sum(T23, T25),
+                           _torus_rho0(2, 3) + _torus_rho0(2, 5))}
+_RUNS = {}
+
+
+def _spied(fn, exact=True):
+    """(fn(), certified.atan_bounds calls), with the pi cache cleared
+    first; exact=False empties the table of exact arc ends, which gives
+    back the series-only engine."""
+    calls = [0]
+    real = certified.atan_bounds
+
+    def spy(*args):
+        calls[0] += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certified, "atan_bounds", spy)
+        if not exact:
+            mp.setattr(certified, "EXACT_ACOS_OVER_PI", {})
+        certified.pi_bounds.cache_clear()
+        return fn(), calls[0]
+
+
+def _rho0(name, radius, exact=True):
+    """`_spied` rho0 of one knot at RADII[radius], memoized: the 1e-30 runs
+    of T(2,9) and T(3,4) take seconds."""
+    key = name, radius, exact
+    if key not in _RUNS:
+        _RUNS[key] = _spied(
+            lambda: seifert.rho0(KNOTS[name][0], RADII[radius]), exact)
+    return _RUNS[key]
+
+
+# the endpoints the series-only engine printed
+TREFOIL_R9 = (F(-11453246123, 8589934592), F(-5726623061, 4294967296))
+TREFOIL_R128 = (
+    F(-3629678580490010276942662479272194255531,
+      2722258935367507707706996859454145691648),
+    F(-1814839290245005138471331239636097127765,
+      1361129467683753853853498429727072845824))
+TREFOIL_R30 = (F(-3380401600608611737324541881003,
+                 2535301200456458802993406410752),
+               F(-6760803201217223474649083762005,
+                 5070602400912917605986812821504))
+# and at 1e-30 on the knots whose series runs take seconds
+SERIES_R30 = {
+    "T(2,9)": (F(-45072021341448156497660558413369,
+                 10141204801825835211973625643008),
+               F(-5634002667681019562207569801671,
+                 1267650600228229401496703205376)),
+    "T(3,4)": (F(-33804016006086117373245418810027,
+                 10141204801825835211973625643008),
+               F(-16902008003043058686622709405013,
+                 5070602400912917605986812821504)),
+    "T(2,3)#T(2,5)": (F(-18930248963408225729017434533615,
+                        5070602400912917605986812821504),
+                      F(-37860497926816451458034869067229,
+                        10141204801825835211973625643008))}
+
+
+def test_trefoil_rho0_and_arcs_without_the_series():
+    """The trefoil's one jump is x = 1, arccos(1/2)/pi = 1/3 exactly."""
+    r, calls = _rho0("T(2,3)", "2^-128")
+    assert calls == 0 and (r.lo, r.hi) == TREFOIL_R128
+    r, calls = _rho0("twist(-1)", "1e-30")
+    assert calls == 0
+    # the series engine's lower end sat one grid step lower
+    assert (r.lo, r.hi) == (F(-13521606402434446949298167524011,
+                              10141204801825835211973625643008),
+                            TREFOIL_R30[1])
+    assert TREFOIL_R30[0] < r.lo
+    arcs, calls = _spied(lambda: seifert.signature_arcs(T23))
+    assert calls == 0
+    assert arcs == [(F(0), F(3074457345618258603, 9223372036854775808), 0),
+                    (F(6148914691236517205, 18446744073709551616), F(1), -2)]
+
+
+@pytest.mark.parametrize("name, calls, series_calls",
+                         [("T(2,9)", 42, 54), ("T(3,4)", 30, 42)])
+def test_phi6_jump_saves_series_calls(name, calls, series_calls):
+    """T(2,9) and T(3,4) have a Phi6 factor among others: one arc end per
+    round leaves the series (series_calls: the series-only engine, pi
+    included, measured)."""
+    r, n = _rho0(name, "1e-30")
+    assert n == calls < series_calls
+    assert (r.lo, r.hi) == SERIES_R30[name]
+
+
+@pytest.mark.parametrize(
+    "name, radius", [(name, radius) for name in KNOTS
+                     for radius in ("1e-9", "1e-30")]
+    + [("T(2,3)", "2^-128"), ("twist(-1)", "2^-128")])
+def test_exact_arc_ends_refine_the_series_engine(name, radius):
+    """Each enclosure lies inside that of the series-only engine and holds
+    the torus formula's rho0."""
+    r, _ = _rho0(name, radius)
+    if radius == "1e-30" and name in SERIES_R30:
+        lo, hi = SERIES_R30[name]
+    else:
+        old, _ = _rho0(name, radius, exact=False)
+        lo, hi = old.lo, old.hi
+    assert lo <= r.lo <= KNOTS[name][1] <= r.hi <= hi
+    assert r.rad <= RADII[radius]
+    if radius == "1e-9" and name in ("T(2,3)", "twist(-1)"):
+        assert (lo, hi) == (r.lo, r.hi) == TREFOIL_R9
