@@ -101,8 +101,9 @@ class CooperRow:
     bound: Fraction | None
     expr: SigExpr
     status: str        # satisfied | violated | unknown
-    interval: str
+    interval: str      # of the resolved part of expr
     assumptions_used: tuple = ()
+    unresolved: tuple = ()
 
     def as_dict(self):
         return {"subject": self.subject, "components": self.components,
@@ -110,6 +111,7 @@ class CooperRow:
                 "bound": None if self.bound is None else str(self.bound),
                 "value": self.expr.render(), "status": self.status,
                 "interval": self.interval,
+                "unresolved": [a.name for a in self.unresolved],
                 "assumptions_used": list(self.assumptions_used),
                 "label": LABEL_FIRST}
 
@@ -617,7 +619,7 @@ class Request:
             elif res.certified and _beyond(iv, bound):
                 status = "violated"
         return CooperRow(link.name, c, eta, bound, expr, status, iv.render(),
-                         res.assumptions_used)
+                         res.assumptions_used, res.unresolved)
 
     def report(self, enumerate_metabolizers: bool = False) -> dict:
         """Deterministic machine-readable report over all three levels.

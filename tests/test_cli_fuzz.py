@@ -354,6 +354,8 @@ def test_declared_rho0_reaches_cooper(tmp_path):
     assert code == 0
     row, = json.loads(out)["rows"]
     assert row["value"] == "1/2*rho0(J) - 1"
+    # the interval is that of the resolved part only
+    assert row["interval"] == "[-1, -1]" and row["unresolved"] == ["rho0(J)"]
 
 
 @pytest.mark.parametrize("pair", [["rho0(J)"], [1, "2"], ["rho0(J)", "x"]])
