@@ -81,10 +81,3 @@ def test_exact_table_inside_the_series_enclosures(bits):
     for y, r in certified.EXACT_ACOS_OVER_PI.items():
         lo, hi = acos_bounds(y, bits)
         assert lo / pi_hi <= r <= hi / pi_lo
-
-
-def test_acos_over_pi_trefoil_jump():
-    # arccos(1/2)/pi = 1/3
-    lo, hi = acos_over_pi(F(1, 2), F(1, 2), 48)
-    assert lo <= F(1, 3) <= hi
-    assert hi - lo <= F(1, 1 << 40)

@@ -216,7 +216,8 @@ TREFOIL_R30 = (F(-3380401600608611737324541881003,
                  2535301200456458802993406410752),
                F(-6760803201217223474649083762005,
                  5070602400912917605986812821504))
-# and at 1e-30 on the knots whose series runs take seconds
+# and at 1e-30 on the three knots whose series-only runs take 2-6 s; the
+# differential test reads these instead of running them again
 SERIES_R30 = {
     "T(2,9)": (F(-45072021341448156497660558413369,
                  10141204801825835211973625643008),
@@ -265,8 +266,8 @@ def test_phi6_jump_saves_series_calls(name, calls, series_calls):
                      for radius in ("1e-9", "1e-30")]
     + [("T(2,3)", "2^-128"), ("twist(-1)", "2^-128")])
 def test_exact_arc_ends_refine_the_series_engine(name, radius):
-    """Each enclosure lies inside that of the series-only engine and holds
-    the torus formula's rho0."""
+    """Each enclosure lies inside that of the series-only engine (run, or
+    SERIES_R30) and holds the torus formula's rho0."""
     r, _ = _rho0(name, radius)
     if radius == "1e-30" and name in SERIES_R30:
         lo, hi = SERIES_R30[name]
